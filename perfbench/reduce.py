@@ -235,6 +235,25 @@ def sim_values(record):
     return sim
 
 
+def sim_guard(seen, sim):
+    """Compares this run's simulated values with the hex ledger `seen` of
+    earlier runs of the same code, workload and seed. Returns the names that
+    are not finite (None stands for a non-finite value the binary wrote as
+    null), the names whose bits differ from the ledger, and the ledger with
+    this run's finite values added. A value the ledger already holds keeps
+    its first recording."""
+    bad = sorted(k for k, v in sim.items()
+                 if v is None or not math.isfinite(v))
+    changed = sorted(k for k, v in sim.items()
+                     if k not in bad and k in seen
+                     and float.fromhex(seen[k]) != v)
+    ledger = dict(seen)
+    for k, v in sim.items():
+        if k not in bad:
+            ledger.setdefault(k, float(v).hex())
+    return bad, changed, ledger
+
+
 def rung_counts(record):
     """serve.requests / serve.batches of one ladder pass (0 without one)."""
     rungs = record.get("rungs", [])

@@ -10,7 +10,8 @@ one JSON object: {"correct", "attempted", "failed", "metrics"}. With
 --trace 0 the metrics are the end-to-end ones, with --trace 1 the per-layer
 ones (see perfbench/README.md). Build output and the human-readable report
 go to standard error. Everything the run writes stays under the build
-directory ($CARGO_TARGET_DIR, default .bench_build, inside the checkout).
+directory ($CARGO_TARGET_DIR, default .bench_build, inside the checkout), in
+a tree of its own for each source checkout.
 
 Exit codes: 0 result printed (check failures show as correct=false),
 1 build or run failure, 2 usage error or not a source checkout.
@@ -18,6 +19,7 @@ Exit codes: 0 result printed (check failures show as correct=false),
 
 import argparse
 import fcntl
+import hashlib
 import json
 import os
 import subprocess
@@ -31,20 +33,43 @@ import reduce  # noqa: E402
 
 ROOT = HERE.parent
 WORKLOADS = ("ssgd-train", "serve-ladder", "sched-trace")
-# Whole-run budget of the measuring binary; the build has its own.
-RUN_TIMEOUT_S = 170.0
-BUILD_TIMEOUT_S = 880.0
+# A first run that builds must end within FIRST_RUN_BUDGET_S; the build gets
+# what the measuring binary's own budget leaves of it.
+FIRST_RUN_BUDGET_S = 900.0
 
 
 def log(*args):
     print(*args, file=sys.stderr, flush=True)
 
 
+def run_timeout(seconds):
+    """Whole-run budget of the measuring binary: the measured seconds plus
+    set-up, warm-up and output checks, which can take as long again."""
+    return 2.0 * seconds + 120.0
+
+
 def build_dir():
+    """The build tree of this checkout. It is keyed by the source root, so
+    checkouts that share one $CARGO_TARGET_DIR never build or measure each
+    other's sources."""
     base = Path(os.environ.get("CARGO_TARGET_DIR", ".bench_build"))
     if not base.is_absolute():
         base = ROOT / base
-    return base / "perfbench"
+    root_key = hashlib.sha256(str(ROOT).encode()).hexdigest()[:16]
+    return base / "perfbench" / root_key
+
+
+def source_key():
+    """Hash of every file the binary is built from (src/ and perfbench/).
+    Runs of the same code share a simulated-bit ledger; a code change starts
+    a new one."""
+    h = hashlib.sha256()
+    for top in (ROOT / "src", HERE):
+        for path in sorted(top.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                h.update(str(path.relative_to(ROOT)).encode() + b"\0")
+                h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()[:16]
 
 
 def child_env(bdir):
@@ -56,12 +81,12 @@ def child_env(bdir):
     return env
 
 
-def build(bdir):
+def build(bdir, budget_s):
     """Configures (once) and builds the perfbench binary; returns its path."""
     bdir.mkdir(parents=True, exist_ok=True)
     env = child_env(bdir)
     cmake_dir = bdir / "cmake"
-    deadline = time.monotonic() + BUILD_TIMEOUT_S
+    deadline = time.monotonic() + budget_s
     with open(bdir / "build.lock", "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         steps = []
@@ -79,25 +104,24 @@ def build(bdir):
 
 
 def guard_sim(bdir, workload, seed, sim):
-    """Simulated-bit guard: every sim.* value must equal, bit for bit, what
-    earlier runs of the same workload and seed in this checkout (traced or
-    not) recorded. Returns the names that differ."""
-    path = bdir / "simguard" / f"{workload}-{seed}.json"
+    """Simulated-bit guard: every sim.* value must be finite and equal, bit
+    for bit, what earlier runs of the same code, workload and seed (traced
+    or not) recorded. Returns the failure messages."""
+    path = bdir / "simguard" / source_key() / f"{workload}-{seed}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     seen = json.loads(path.read_text()) if path.exists() else {}
-    diff = sorted(k for k, v in sim.items()
-                  if k in seen and float.fromhex(seen[k]) != v)
-    for k, v in sim.items():
-        seen.setdefault(k, float(v).hex())
-    path.write_text(json.dumps(seen, indent=1, sort_keys=True))
-    return diff
+    bad, changed, ledger = reduce.sim_guard(seen, sim)
+    path.write_text(json.dumps(ledger, indent=1, sort_keys=True))
+    return ([f"{k} is not finite" for k in bad]
+            + [f"{k} changed" for k in changed])
 
 
 def report(result, trace):
     log(f"attempted {result['attempted']}, failed {result['failed']}")
     section = "per_layer" if trace else "end_to_end"
     for name, m in result[section].items():
-        log(f"  {name:32s} {m['value']:>16.6g} {m['unit']:8s} n={m['n']}")
+        value = "null" if m["value"] is None else f"{m['value']:.6g}"
+        log(f"  {name:32s} {value:>16s} {m['unit']:8s} n={m['n']}")
     if not trace:
         e2e = result["end_to_end"]["ops_per_s"]
         log(f"  ({result['throughput_name']} = {e2e['value']:.6g})")
@@ -118,8 +142,9 @@ def main():
         return 2
 
     bdir = build_dir()
+    timeout_s = run_timeout(args.seconds)
     try:
-        binary = build(bdir)
+        binary = build(bdir, max(60.0, FIRST_RUN_BUDGET_S - timeout_s - 20.0))
     except (subprocess.CalledProcessError, subprocess.TimeoutExpired,
             OSError) as e:
         log(f"perfbench: build failed: {e}")
@@ -135,7 +160,7 @@ def main():
            str(args.trace), "--out", str(raw)]
     try:
         proc = subprocess.run(cmd, stdout=sys.stderr, env=child_env(bdir),
-                              timeout=RUN_TIMEOUT_S)
+                              timeout=timeout_s)
     except subprocess.TimeoutExpired:
         log("perfbench: run timed out")
         return 1
@@ -147,11 +172,11 @@ def main():
     result = reduce.reduce(record)
     for what in record["failures"]:
         log(f"FAILED {what}")
-    diff = guard_sim(bdir, args.workload, args.seed, result["sim"])
+    guard = guard_sim(bdir, args.workload, args.seed, result["sim"])
     result["attempted"] += 1  # the simulated-bit guard is one more op
-    if diff:
+    if guard:
         result["failed"] += 1
-        log(f"FAILED simulated-bit guard: {', '.join(diff)} changed")
+        log(f"FAILED simulated-bit guard: {', '.join(guard)}")
     result["per_layer"]["failed_ratio"]["value"] = reduce.ratio(
         result["failed"], result["attempted"])
     result["per_layer"]["failed_ratio"]["n"] = result["attempted"]

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Runs the benchmark on several seeds and prints each end-to-end metric's
+"""Runs the benchmark on seeds 1..10 and prints each end-to-end metric's
 median and run-to-run spread (interquartile distance over median), next to
 the bound BENCHMARK.json fixes for it.
 
-    python3 perfbench/spread.py --workload serve-ladder --runs 10 [--first-seed 1]
+    python3 perfbench/spread.py --workload serve-ladder
 """
 
 import argparse
@@ -16,17 +16,17 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 import reduce  # noqa: E402
 
+SEEDS = range(1, 11)
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args()
     bench = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     values = {}
-    for seed in range(args.first_seed, args.first_seed + args.runs):
+    for seed in SEEDS:
         cmd = [sys.executable, str(HERE / "run.py"), "--workload",
                args.workload, "--seed", str(seed), "--seconds",
                str(bench["run_seconds"]), "--trace", "0"]

@@ -4,6 +4,7 @@
 """
 
 import json
+import math
 import statistics
 import unittest
 from pathlib import Path
@@ -196,6 +197,29 @@ class ReduceTest(unittest.TestCase):
         # A layer the workload never calls reads 0 with an empty base.
         self.assertEqual(layer["parallel.allreduce_s"],
                          {"value": 0.0, "unit": "s", "n": 0})
+
+
+class SimGuardTest(unittest.TestCase):
+    def test_first_run_records_and_equal_bits_pass(self):
+        bad, changed, ledger = reduce.sim_guard({}, {"sim.a": 0.1})
+        self.assertEqual((bad, changed), ([], []))
+        self.assertEqual(ledger, {"sim.a": (0.1).hex()})
+        self.assertEqual(reduce.sim_guard(ledger, {"sim.a": 0.1})[:2],
+                         ([], []))
+
+    def test_one_ulp_is_a_change_and_the_ledger_keeps_the_first(self):
+        seen = {"sim.a": (0.1).hex()}
+        moved = math.nextafter(0.1, 1.0)
+        bad, changed, ledger = reduce.sim_guard(seen, {"sim.a": moved})
+        self.assertEqual((bad, changed), ([], ["sim.a"]))
+        self.assertEqual(ledger, seen)
+
+    def test_non_finite_values_fail_without_entering_the_ledger(self):
+        sim = {"sim.a": None, "sim.b": float("inf"), "sim.c": 2.0}
+        bad, changed, ledger = reduce.sim_guard({"sim.a": (1.0).hex()}, sim)
+        self.assertEqual((bad, changed), (["sim.a", "sim.b"], []))
+        self.assertEqual(ledger, {"sim.a": (1.0).hex(),
+                                  "sim.c": (2.0).hex()})
 
 
 class BenchmarkFileTest(unittest.TestCase):
