@@ -23,6 +23,7 @@
 namespace perfbench {
 
 void run_phases(const Args& args, Recorder& rec, int min_ops,
+                double (*host_ref)(),
                 const std::function<void(int op, const char* kind)>& body,
                 const std::function<void()>& between) {
   rec.set_tracing(false);
@@ -33,7 +34,9 @@ void run_phases(const Args& args, Recorder& rec, int min_ops,
     const double deadline = now_s() + args.seconds / phases;
     int n = 0;
     do {
-      body(rec.next_op(), nullptr);
+      const int op = rec.next_op();
+      rec.host_ref(op, host_ref());
+      body(op, nullptr);
       ++n;
       if (between && !args.trace) between();
     } while (n < min_ops || now_s() < deadline);
@@ -41,9 +44,10 @@ void run_phases(const Args& args, Recorder& rec, int min_ops,
   rec.set_tracing(args.trace);
 }
 
-bool timed_setup(Recorder& rec,
+bool timed_setup(Recorder& rec, double (*host_ref)(),
                  const std::function<void(int op, OpCheck& check)>& fn) {
   const int op = rec.next_op();
+  rec.host_ref(op, host_ref());
   OpCheck check{rec, "setup"};
   const double t0 = now_s();
   guarded(check, [&] { fn(op, check); });

@@ -60,6 +60,11 @@ void Recorder::write_json(std::FILE* out, const std::string& workload,
   for (std::size_t i = 0; i < setup_s_.size(); ++i) {
     std::fprintf(out, "%s%s", i ? ", " : "", json_number(setup_s_[i]).c_str());
   }
+  std::fprintf(out, "],\n \"host_ref_s\": [");
+  for (std::size_t i = 0; i < host_ref_.size(); ++i) {
+    std::fprintf(out, "%s[%d, %s]", i ? ", " : "", host_ref_[i].first,
+                 json_number(host_ref_[i].second).c_str());
+  }
   std::fprintf(out, "],\n \"ops\": [");
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     const OpRecord& o = ops_[i];

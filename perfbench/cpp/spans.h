@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace perfbench {
@@ -48,6 +49,10 @@ class Recorder {
 
   void record_op(OpRecord r);
   void setup_sample(double seconds) { setup_s_.push_back(seconds); }
+  /// Host reference kernel time measured right before op `op`.
+  void host_ref(int op, double seconds) {
+    host_ref_.emplace_back(op, seconds);
+  }
   void failure(const std::string& what) { failures_.push_back(what); }
   void counter(const std::string& name, double value) {
     counters_[name] = value;
@@ -68,6 +73,7 @@ class Recorder {
   std::vector<int> stack_;
   std::vector<OpRecord> ops_;
   std::vector<double> setup_s_;
+  std::vector<std::pair<int, double>> host_ref_;
   std::vector<std::string> failures_;
   std::map<std::string, double> counters_;
   std::map<std::string, double> sim_;

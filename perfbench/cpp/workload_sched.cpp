@@ -110,7 +110,7 @@ void run_sched_trace(const Args& args, Recorder& rec) {
     }
   };
   rec.set_tracing(args.trace);
-  if (!timed_setup(rec, [&](int op, OpCheck& check) {
+  if (!timed_setup(rec, ref_alloc_sort_s, [&](int op, OpCheck& check) {
         setup(op, check, traces);
       })) {
     return;
@@ -118,7 +118,7 @@ void run_sched_trace(const Args& args, Recorder& rec) {
   // Later set-ups, between the measured ops, must draw the same traces.
   const auto setup_again = [&] {
     for (int r = 0; r < kSetupsPerOp; ++r) {
-      timed_setup(rec, [&](int op, OpCheck& check) {
+      timed_setup(rec, ref_alloc_sort_s, [&](int op, OpCheck& check) {
         std::vector<std::vector<sched::JobSpec>> again(kTraces);
         setup(op, check, again);
         for (int k = 0; k < kTraces; ++k) {
@@ -181,7 +181,7 @@ void run_sched_trace(const Args& args, Recorder& rec) {
     }
     have_first = true;
   };
-  run_phases(args, rec, 3, run_op, setup_again);
+  run_phases(args, rec, 3, ref_alloc_sort_s, run_op, setup_again);
 
   // Per-op totals over the kTraces traces; simulated values are their means.
   double spans = 0, preemptions = 0, resizes = 0, overhead = 0, busy = 0;

@@ -91,7 +91,7 @@ void run_serve_ladder(const Args& args, Recorder& rec) {
   // swcheck verify + pricing).
   std::unique_ptr<serve::InferenceEngine> engine;
   rec.set_tracing(args.trace);
-  if (!timed_setup(rec, [&](int op, OpCheck&) {
+  if (!timed_setup(rec, ref_alloc_sort_s, [&](int op, OpCheck&) {
         Span s(rec, "serve.engine_ctor", op);
         engine = std::make_unique<serve::InferenceEngine>(cost, "AlexNet",
                                                           model, eopts);
@@ -101,7 +101,7 @@ void run_serve_ladder(const Args& args, Recorder& rec) {
   // Later set-ups, between the measured passes, must price the same table.
   const auto setup_again = [&] {
     for (int r = 0; r < kSetupsPerOp; ++r) {
-      timed_setup(rec, [&](int, OpCheck& check) {
+      timed_setup(rec, ref_alloc_sort_s, [&](int, OpCheck& check) {
         const serve::InferenceEngine again(cost, "AlexNet", model, eopts);
         for (int b = 1; b <= kMaxBatch; ++b) {
           check.expect(again.batch_time(b) == engine->batch_time(b),
@@ -212,7 +212,7 @@ void run_serve_ladder(const Args& args, Recorder& rec) {
     }
     have_first = true;
   };
-  run_phases(args, rec, 2, run_op, setup_again);
+  run_phases(args, rec, 2, ref_alloc_sort_s, run_op, setup_again);
   rungs_json += "]";
   rec.extra("rungs", rungs_json);
   rec.sim("sim.serve_slo_s", sopts.admission.slo_s);

@@ -162,7 +162,7 @@ void run_ssgd_train(const Args& args, Recorder& rec) {
   const int reps = args.trace ? 1 : kSetupReps;
   for (int r = 0; r < reps; ++r) {
     trainer.reset();
-    const bool ok = timed_setup(rec, [&](int op, OpCheck&) {
+    const bool ok = timed_setup(rec, ref_sort_s, [&](int op, OpCheck&) {
       Span s(rec, "parallel.trainer_ctor", op);
       trainer = std::make_unique<parallel::SsgdTrainer>(spec, kNodes, solver,
                                                         opt, weight_seed);
@@ -206,7 +206,7 @@ void run_ssgd_train(const Args& args, Recorder& rec) {
     wire_bytes = wire;
     rec.record_op({op, kind, wall, items, check.ok});
   };
-  run_phases(args, rec, 3, run_step);
+  run_phases(args, rec, 3, ref_sort_s, run_step);
   rec.counter("topo.wire_bytes_per_step", wire_bytes);
 
   // Output checks of the whole run.

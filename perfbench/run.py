@@ -123,8 +123,10 @@ def report(result, trace):
         value = "null" if m["value"] is None else f"{m['value']:.6g}"
         log(f"  {name:32s} {value:>16s} {m['unit']:8s} n={m['n']}")
     if not trace:
-        e2e = result["end_to_end"]["ops_per_s"]
-        log(f"  ({result['throughput_name']} = {e2e['value']:.6g})")
+        layer = result["per_layer"]
+        log(f"  ({result['throughput_name']} = "
+            f"{layer['host.ops_per_s']['value']:.6g} per host s; reference "
+            f"kernel {layer['host.ref_s']['value']:.4g} s)")
 
 
 def main():

@@ -99,6 +99,20 @@ class OpsTest(unittest.TestCase):
         ]
         self.assertEqual(reduce.ops_per_s(ops), 4.0)
 
+    def test_ops_per_ref_s_scales_each_group_by_its_reference(self):
+        ops = [op(1, "warmup", 9.0, 8.0), op(2, "step", 2.0, 8.0),
+               op(3, "step", 4.0, 8.0), op(4, "step", 4.0, 8.0),
+               op(5, "step", 9.0, 8.0, traced=True)]
+        ref = 0.01
+        # Raw rates 4, 2 and 2 per s. Ops 3 and 4 ran while the reference
+        # kernel took twice as long, so each scales to 4.
+        refs = {2: ref, 3: 2.0 * ref, 4: 2.0 * ref}
+        self.assertEqual(reduce.ops_per_s(ops), 2.0)
+        self.assertEqual(reduce.ops_per_ref_s(ops, refs, ref), 4.0)
+        # A slower op on an unchanged host stays slower.
+        refs = {2: ref, 3: ref, 4: ref}
+        self.assertEqual(reduce.ops_per_ref_s(ops, refs, ref), 2.0)
+
     def test_rungs_sharing_an_op_form_one_group(self):
         ops = [op(7, "rung:x1", 1.0, 100.0), op(7, "rung:x4", 3.0, 400.0),
                op(8, "rung:x1", 1.0, 100.0), op(8, "rung:x4", 1.0, 400.0)]
@@ -152,14 +166,19 @@ class CapacityTest(unittest.TestCase):
 
 
 class ReduceTest(unittest.TestCase):
+    REF = reduce.REF_S["sched-trace"]
+
     def record(self, trace):
         return {
             "workload": "sched-trace", "seed": 1, "trace": trace,
             "setup_s": [0.3, 0.1, 0.2],
             "ops": [op(0, "setup", 0.3), op(1, "warmup", 1.0, 10.0),
-                    op(2, "trace", 1.0, 10.0),
-                    op(3, "trace", 2.0, 10.0, ok=False),
+                    op(2, "trace", 1.0, 10.0), op(5, "setup", 0.1),
+                    op(3, "trace", 2.0, 10.0, ok=False), op(6, "setup", 0.2),
                     op(4, "trace", 1.0, 10.0, traced=True)],
+            "host_ref_s": [[0, self.REF], [2, self.REF], [5, 2.0 * self.REF],
+                           [3, 2.0 * self.REF], [6, 2.0 * self.REF],
+                           [4, self.REF]],
             "spans": [["op.trace", 4, -1, 0.0, 1.0],
                       ["sched.simulate_schedule", 4, 0, 0.0, 0.9]],
             "failures": ["trace: x"],
@@ -173,12 +192,17 @@ class ReduceTest(unittest.TestCase):
 
     def test_end_to_end_and_counts(self):
         r = reduce.reduce(self.record(0))
-        self.assertEqual((r["attempted"], r["failed"]), (5, 1))
+        self.assertEqual((r["attempted"], r["failed"]), (7, 1))
         e2e = r["end_to_end"]
         self.assertEqual(set(e2e), set(reduce.END_TO_END))
-        self.assertEqual(e2e["setup_s"]["value"], 0.2)
+        # Set-ups of 0.3, 0.1 and 0.2 s; the last two ran while the
+        # reference kernel took twice as long, so they scale to 0.05, 0.1.
+        self.assertEqual(e2e["setup_s"]["value"], 0.1)
         self.assertEqual(e2e["setup_s"]["n"], 3)
-        self.assertEqual(e2e["ops_per_s"]["value"], 7.5)
+        # Op 2: 10 per s at the reference speed; op 3: 5 per s on a host
+        # running its reference kernel twice as slow, so 10 scaled.
+        self.assertEqual(e2e["ops_per_ref_s"]["value"], 10.0)
+        self.assertEqual(e2e["ops_per_ref_s"]["n"], 2)
         self.assertEqual(e2e["peak_rss_mb"]["value"], 2.0)
         self.assertEqual(r["throughput_name"], "sched.sim_jobs_per_s")
 
@@ -190,10 +214,13 @@ class ReduceTest(unittest.TestCase):
         self.assertEqual(layer["sched.overhead_ratio"]["value"], 0.25)
         self.assertEqual(layer["tune.accept_ratio"]["value"], 0.6)
         self.assertEqual(layer["tune.accept_ratio"]["n"], 10)
-        self.assertEqual(layer["failed_ratio"]["value"], 1 / 5)
+        self.assertEqual(layer["failed_ratio"]["value"], 1 / 7)
         self.assertAlmostEqual(layer["trace.unattributed_ratio"]["value"], 0.1)
         self.assertAlmostEqual(layer["trace.overhead_ratio"]["value"], 1 / 1.5)
         self.assertEqual(layer["sim.sched_utilization"]["value"], 0.5)
+        self.assertEqual(layer["host.ops_per_s"]["value"], 7.5)
+        self.assertEqual(layer["host.setup_s"]["value"], 0.2)
+        self.assertAlmostEqual(layer["host.ref_s"]["value"], 1.5 * self.REF)
         # A layer the workload never calls reads 0 with an empty base.
         self.assertEqual(layer["parallel.allreduce_s"],
                          {"value": 0.0, "unit": "s", "n": 0})
@@ -231,6 +258,7 @@ class BenchmarkFileTest(unittest.TestCase):
                          reduce.PER_LAYER)
         self.assertEqual({w["name"] for w in bench["workloads"]},
                          set(reduce.THROUGHPUT_NAMES))
+        self.assertEqual(set(reduce.REF_S), set(reduce.THROUGHPUT_NAMES))
 
 
 if __name__ == "__main__":
