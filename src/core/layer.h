@@ -24,11 +24,17 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Shapes tops, allocates parameters (filled from `rng`), and fills the
-  /// layer descriptor used by the performance models.
+  /// Shapes tops, allocates parameters, and fills the layer descriptor used
+  /// by the performance models. Parameters start zeroed, or at the layer's
+  /// fixed constants (batch-norm's unit scale); setup never draws from an
+  /// RNG, so a replica can be set up and then copied into.
   virtual void setup(const std::vector<tensor::Tensor*>& bottoms,
-                     const std::vector<tensor::Tensor*>& tops,
-                     base::Rng& rng) = 0;
+                     const std::vector<tensor::Tensor*>& tops) = 0;
+
+  /// Draws the layer's random initial parameters from `rng` (after setup).
+  /// Net(spec, seed) calls this in layer order; Net::replica_of skips it.
+  /// Layers without random parameters keep the default no-op.
+  virtual void init_params(base::Rng& /*rng*/) {}
 
   virtual void forward(const std::vector<tensor::Tensor*>& bottoms,
                        const std::vector<tensor::Tensor*>& tops) = 0;

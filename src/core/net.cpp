@@ -7,8 +7,18 @@
 
 namespace swcaffe::core {
 
-Net::Net(const NetSpec& spec, std::uint64_t seed) : spec_(spec) {
+Net::Net(const NetSpec& spec, std::uint64_t seed) : Net(spec, Unfilled{}) {
   base::Rng rng(seed);
+  for (auto& l : layers_) l->init_params(rng);
+}
+
+std::unique_ptr<Net> Net::replica_of(const Net& prototype) {
+  std::unique_ptr<Net> net(new Net(prototype.spec_, Unfilled{}));
+  net->copy_params_from(prototype);
+  return net;
+}
+
+Net::Net(const NetSpec& spec, Unfilled) : spec_(spec) {
   std::map<std::string, bool> blob_needs_grad;
 
   auto get_blob = [&](const std::string& name) -> tensor::Tensor* {
@@ -42,7 +52,7 @@ Net::Net(const NetSpec& spec, std::uint64_t seed) : spec_(spec) {
                             << "' defined twice (in-place not supported)");
       tops.push_back(get_blob(t));
     }
-    layer->setup(bottoms, tops, rng);
+    layer->setup(bottoms, tops);
 
     std::vector<bool> prop(bottoms.size(), false);
     bool any_bottom_grad = false;
@@ -211,6 +221,11 @@ void Net::copy_params_from(const Net& other) {
     const auto& theirs = other.layers_[i]->params();
     SWC_CHECK_EQ(mine.size(), theirs.size());
     for (std::size_t p = 0; p < mine.size(); ++p) {
+      SWC_CHECK_MSG(mine[p]->shape() == theirs[p]->shape(),
+                    "copy_params_from: layer '"
+                        << layers_[i]->name() << "' param " << p << " is "
+                        << mine[p]->shape_string() << ", source is "
+                        << theirs[p]->shape_string());
       mine[p]->copy_from(*theirs[p]);
     }
   }

@@ -19,7 +19,17 @@ namespace swcaffe::core {
 
 class Net {
  public:
+  /// Sets up every layer, then draws the random parameters from `seed` in
+  /// layer order (Layer::init_params).
   explicit Net(const NetSpec& spec, std::uint64_t seed = 1);
+
+  /// A replica of `prototype`: the same layers set up from its spec, with
+  /// its parameters copied in. Draws nothing from an RNG, so it costs one
+  /// allocation and one copy per parameter, and a replica of Net(spec, seed)
+  /// is bitwise equal to another Net(spec, seed). Only learnable parameters
+  /// are copied; activations, batch-norm running statistics, phase and conv
+  /// plans start as in any new Net.
+  static std::unique_ptr<Net> replica_of(const Net& prototype);
 
   Net(const Net&) = delete;
   Net& operator=(const Net&) = delete;
@@ -64,7 +74,8 @@ class Net {
   void pack_params(std::span<float> out) const;
   void unpack_params(std::span<const float> in);
 
-  /// Copies all parameters from a same-spec net (replica initialization).
+  /// Copies all parameters from a same-spec net. Throws unless every
+  /// parameter has the same shape as its counterpart in `other`.
   void copy_params_from(const Net& other);
 
   /// Performance descriptors of every layer (for the timing models).
@@ -81,6 +92,11 @@ class Net {
   const std::string& name() const { return spec_.name; }
 
  private:
+  /// Builds the graph and sets up every layer; parameters stay as setup
+  /// leaves them.
+  struct Unfilled {};
+  Net(const NetSpec& spec, Unfilled);
+
   NetSpec spec_;
   Phase phase_ = Phase::kTrain;
   std::map<std::string, std::unique_ptr<tensor::Tensor>> blobs_;

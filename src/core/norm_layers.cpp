@@ -4,15 +4,13 @@
 
 #include "base/log.h"
 #include "core/layers.h"
-#include "tensor/filler.h"
 
 namespace swcaffe::core {
 
 // --- BatchNorm ----------------------------------------------------------------
 
 void BatchNormLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                           const std::vector<tensor::Tensor*>& tops,
-                           base::Rng& /*rng*/) {
+                           const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   const tensor::Tensor& in = *bottoms[0];
   SWC_CHECK_EQ(in.num_axes(), 4);
@@ -133,8 +131,7 @@ void BatchNormLayer::backward(const std::vector<tensor::Tensor*>& tops,
 // --- LRN (across channels, Caffe semantics) ------------------------------------
 
 void LrnLayer::setup(const std::vector<tensor::Tensor*>& bottoms,
-                     const std::vector<tensor::Tensor*>& tops,
-                     base::Rng& /*rng*/) {
+                     const std::vector<tensor::Tensor*>& tops) {
   SWC_CHECK_EQ(bottoms.size(), 1u);
   SWC_CHECK_EQ(bottoms[0]->num_axes(), 4);
   SWC_CHECK_EQ(spec_.lrn_size % 2, 1);

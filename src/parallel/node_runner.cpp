@@ -28,11 +28,9 @@ void SimpleSync::arrive_and_wait() {
 NodeRunner::NodeRunner(const core::NetSpec& spec, int num_core_groups,
                        std::uint64_t seed) {
   SWC_CHECK_GT(num_core_groups, 0);
-  for (int i = 0; i < num_core_groups; ++i) {
-    nets_.push_back(std::make_unique<core::Net>(spec, seed));
-  }
+  nets_.push_back(std::make_unique<core::Net>(spec, seed));
   for (int i = 1; i < num_core_groups; ++i) {
-    nets_[i]->copy_params_from(*nets_[0]);
+    nets_.push_back(core::Net::replica_of(*nets_[0]));
   }
 #ifndef NDEBUG
   // Debug builds statically verify the plans all core groups are about to

@@ -96,11 +96,13 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   placement_ = placement_for(options_.algo);
   // Timing-only mode materializes one prototype replica: the bucket layout
   // and its verification read the live layers, but no gradients ever move.
+  // Only node 0 draws its weights from the seed; the others are replicas of
+  // it (Algorithm 1: every node starts from the master's parameters).
   const int replicas = options_.timing_only ? 1 : num_nodes;
-  for (int i = 0; i < replicas; ++i) {
-    nets_.push_back(std::make_unique<core::Net>(spec, seed));
+  nets_.push_back(std::make_unique<core::Net>(spec, seed));
+  for (int i = 1; i < replicas; ++i) {
+    nets_.push_back(core::Net::replica_of(*nets_[0]));
   }
-  for (int i = 1; i < replicas; ++i) nets_[i]->copy_params_from(*nets_[0]);
   for (int i = 0; i < replicas; ++i) {
     solvers_.push_back(std::make_unique<core::SgdSolver>(*nets_[i], solver));
   }

@@ -8,10 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "core/layer_desc.h"
 #include "core/models.h"
+#include "core/net.h"
 
 namespace swcaffe::fixtures {
 
@@ -68,6 +71,77 @@ inline std::vector<core::LayerDesc> resnet50_descs(int batch = kResNet50Batch) {
 }
 inline std::vector<core::LayerDesc> resnet50_per_cg_descs() {
   return resnet50_descs(kResNet50BatchPerCg);
+}
+
+// --- Replica fixtures --------------------------------------------------------
+//
+// Nets whose replicas (core::Net::replica_of, and the SsgdTrainer/NodeRunner
+// replica sets built from it) must equal a freshly seeded Net bit for bit.
+// Each declares "data"/"label" inputs, so the parallel trainers accept it.
+
+/// The reduced AlexNet-BN `swcaffe_time` and the benchmark train: conv, BN,
+/// dropout and the two 4096-wide FCs, at 67x67 with 10 classes.
+inline core::NetSpec replica_alexnet_spec() {
+  return core::alexnet_bn(2, 10, 67);
+}
+
+/// An LSTM whose bias is drawn (gaussian) before the +1 forget-gate shift.
+inline core::NetSpec replica_lstm_spec() {
+  core::NetSpec net;
+  net.name = "lstm";
+  net.inputs.push_back({"data", {4, 2, 3}});
+  net.inputs.push_back({"label", {4}});
+  core::LayerSpec lstm = core::lstm_spec("lstm", "data", "h", 5);
+  lstm.bias_filler = tensor::FillerSpec::gaussian(0.0f, 0.1f);
+  net.layers.push_back(lstm);
+  net.layers.push_back(core::ip_spec("head", "h", "scores", 3));
+  net.layers.push_back(core::softmax_loss_spec("loss", "scores", "label", "loss"));
+  return net;
+}
+
+/// A small conv net with batch norm (constant scale/shift, set up rather
+/// than drawn) and dropout (a per-layer mask RNG).
+inline core::NetSpec replica_dropout_bn_spec() {
+  core::NetSpec net;
+  net.name = "dropout-bn";
+  net.inputs.push_back({"data", {2, 3, 8, 8}});
+  net.inputs.push_back({"label", {2}});
+  net.layers.push_back(core::conv_spec("conv1", "data", "conv1", 4, 3, 1, 1));
+  net.layers.push_back(core::bn_spec("bn1", "conv1", "bn1"));
+  net.layers.push_back(core::relu_spec("relu1", "bn1", "relu1"));
+  net.layers.push_back(core::dropout_spec("drop1", "relu1", "drop1"));
+  net.layers.push_back(core::ip_spec("fc", "drop1", "scores", 3));
+  net.layers.push_back(core::softmax_loss_spec("loss", "scores", "label", "loss"));
+  return net;
+}
+
+struct ReplicaCase {
+  const char* name;
+  core::NetSpec (*spec)();
+};
+
+/// gtest prints a parameter in the test's listed name; print the case name
+/// rather than the struct's bytes (which hold a function address).
+inline void PrintTo(const ReplicaCase& c, std::ostream* os) { *os << c.name; }
+
+inline const ReplicaCase kReplicaCases[] = {
+    {"AlexNetBn", replica_alexnet_spec},
+    {"Lstm", replica_lstm_spec},
+    {"DropoutBn", replica_dropout_bn_spec},
+};
+
+/// True when `a` and `b` have the same learnable parameter shapes and every
+/// parameter's data (or, with `diffs`, its diff) is equal bit for bit.
+inline bool same_param_bits(core::Net& a, core::Net& b, bool diffs = false) {
+  const auto pa = a.learnable_params(), pb = b.learnable_params();
+  if (pa.size() != pb.size()) return false;
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    if (pa[i]->shape() != pb[i]->shape()) return false;
+    const auto x = diffs ? pa[i]->diff() : pa[i]->data();
+    const auto y = diffs ? pb[i]->diff() : pb[i]->data();
+    if (std::memcmp(x.data(), y.data(), x.size_bytes()) != 0) return false;
+  }
+  return true;
 }
 
 }  // namespace swcaffe::fixtures

@@ -6,6 +6,7 @@
 #include "base/rng.h"
 #include "core/net.h"
 #include "core/spec.h"
+#include "fixtures.h"
 
 namespace swcaffe::core {
 namespace {
@@ -190,6 +191,59 @@ TEST(NetTest, CopyParamsFromMakesReplica) {
   b.blob("label")->copy_from(*a.blob("label"));
   EXPECT_DOUBLE_EQ(a.forward(), b.forward());
 }
+
+TEST(NetTest, CopyParamsFromRejectsEqualCountDifferentShape) {
+  // Bias-free 4->6 and 6->4 layers both hold 24 weights, as {6,4} and {4,6}.
+  auto fc = [](int in_dim, int out_dim) {
+    NetSpec spec;
+    spec.inputs.push_back({"data", {1, in_dim}});
+    LayerSpec ip = ip_spec("fc", "data", "y", out_dim);
+    ip.bias = false;
+    spec.layers.push_back(ip);
+    return spec;
+  };
+  Net a(fc(4, 6), 1), b(fc(6, 4), 1);
+  ASSERT_EQ(a.param_count(), b.param_count());
+  EXPECT_THROW(b.copy_params_from(a), base::CheckError);
+  EXPECT_THROW(a.copy_params_from(b), base::CheckError);
+}
+
+TEST(NetTest, ReplicaOfCopiesThePrototypesCurrentParams) {
+  // A replica copies what the prototype holds now, not what its seed drew.
+  Net proto(tiny_mlp(2, 4, 8, 2), 3);
+  for (auto* p : proto.learnable_params()) {
+    for (auto& v : p->data()) v += 0.25f;
+  }
+  const auto replica = Net::replica_of(proto);
+  EXPECT_TRUE(fixtures::same_param_bits(*replica, proto));
+}
+
+class ReplicaOfTest : public ::testing::TestWithParam<fixtures::ReplicaCase> {};
+
+TEST_P(ReplicaOfTest, BitwiseEqualToFreshlySeededNet) {
+  const NetSpec spec = GetParam().spec();
+  const auto replica = Net::replica_of(Net(spec, 7));
+  Net seeded(spec, 7);
+  EXPECT_TRUE(fixtures::same_param_bits(*replica, seeded));
+
+  // One forward_backward on the same batch: the same loss and gradients.
+  base::Rng rng(8);
+  for (auto& v : seeded.blob("data")->data()) v = rng.gaussian(0.0f, 1.0f);
+  for (auto& v : seeded.blob("label")->data()) {
+    v = static_cast<float>(rng.uniform_int(0, 2));
+  }
+  replica->blob("data")->copy_from(*seeded.blob("data"));
+  replica->blob("label")->copy_from(*seeded.blob("label"));
+  const double loss = seeded.forward_backward();
+  EXPECT_EQ(replica->forward_backward(), loss);
+  EXPECT_TRUE(fixtures::same_param_bits(*replica, seeded, /*diffs=*/true));
+}
+
+INSTANTIATE_TEST_SUITE_P(Nets, ReplicaOfTest,
+                         ::testing::ValuesIn(fixtures::kReplicaCases),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 TEST(NetTest, DescribeMatchesSpecInference) {
   NetSpec spec = tiny_mlp(4, 6, 10, 3);

@@ -123,6 +123,36 @@ TEST(NodeRunnerTest, BroadcastParamsSynchronizesReplicas) {
   }
 }
 
+class ReplicaSetTest
+    : public ::testing::TestWithParam<fixtures::ReplicaCase> {};
+
+TEST_P(ReplicaSetTest, EveryReplicaBitwiseEqualsSeededNet) {
+  // Both replica sets are one seeded net plus clones of it; every member
+  // must hold exactly what Net(spec, seed) draws.
+  const core::NetSpec spec = GetParam().spec();
+  core::Net seeded(spec, 31);
+  {
+    SsgdOptions opt;
+    opt.supernode_size = 2;
+    SsgdTrainer trainer(spec, 4, core::SolverSpec{}, opt, 31);
+    for (int n = 0; n < trainer.num_nodes(); ++n) {
+      EXPECT_TRUE(fixtures::same_param_bits(trainer.node(n), seeded))
+          << "node " << n;
+    }
+  }
+  NodeRunner runner(spec, 4, 31);
+  for (int cg = 0; cg < runner.num_core_groups(); ++cg) {
+    EXPECT_TRUE(fixtures::same_param_bits(runner.replica(cg), seeded))
+        << "core group " << cg;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Nets, ReplicaSetTest,
+                         ::testing::ValuesIn(fixtures::kReplicaCases),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
 class SsgdAlgoTest : public ::testing::TestWithParam<AllreduceAlgo> {};
 
 TEST_P(SsgdAlgoTest, AllNodesStayBitwiseIdentical) {
