@@ -10,8 +10,8 @@
 // schema_version field lets downstream tooling (CI gates, trend dashboards)
 // detect emitter-format changes instead of misparsing old files; bump
 // kBenchJsonSchemaVersion whenever the envelope shape changes. Without the
-// flag the helper is inert. (bench_gemm links google-benchmark and uses its
-// native --benchmark_out instead.)
+// flag the helper is inert. Every bench, bench_gemm included, reports
+// through it.
 #pragma once
 
 #include <cctype>

@@ -269,11 +269,7 @@ double SsgdTrainer::forward_backward_packed(
     grads[r].resize(n);
     net.pack_param_diffs(grads[r]);
   };
-  if (pool_) {
-    pool_->parallel_for(0, p, body);
-  } else {
-    for (int r = 0; r < p; ++r) body(r);
-  }
+  for_each_replica(body);
   double loss = 0.0;
   for (int r = 0; r < p; ++r) loss += losses[r];
   return loss / p;
@@ -431,16 +427,16 @@ void SsgdTrainer::apply(std::vector<std::vector<float>>& grads) {
                 "price_iteration()");
   const int p = num_nodes();
   SWC_CHECK_EQ(grads.size(), static_cast<std::size_t>(p));
-  if (options_.average) {
-    const float inv = 1.0f / p;
-    for (auto& g : grads) {
-      for (auto& v : g) v *= inv;
+  const float inv = 1.0f / p;
+  // Each replica's averaging, unpack and update touch only replica r, so
+  // they run on the worker pool like forward_backward_packed.
+  for_each_replica([&](int r) {
+    if (options_.average) {
+      for (auto& v : grads[r]) v *= inv;
     }
-  }
-  for (int r = 0; r < p; ++r) {
     nets_[r]->unpack_param_diffs(grads[r]);
     solvers_[r]->apply_update();
-  }
+  });
 }
 
 void SsgdTrainer::apply_aggregate(std::span<const float> grad) {
@@ -448,9 +444,17 @@ void SsgdTrainer::apply_aggregate(std::span<const float> grad) {
                 "timing-only trainer has no replica tensors; use "
                 "price_iteration()");
   SWC_CHECK_EQ(grad.size(), nets_[0]->param_count());
-  for (int r = 0; r < num_nodes(); ++r) {
+  for_each_replica([&](int r) {
     nets_[r]->unpack_param_diffs(grad);
     solvers_[r]->apply_update();
+  });
+}
+
+void SsgdTrainer::for_each_replica(const std::function<void(int)>& body) {
+  if (pool_) {
+    pool_->parallel_for(0, num_nodes(), body);
+  } else {
+    for (int r = 0; r < num_nodes(); ++r) body(r);
   }
 }
 

@@ -11,6 +11,7 @@
 // without materializing 1024 replicas.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -135,7 +136,9 @@ class SsgdTrainer {
   const topo::CostBreakdown& allreduce_bucket(
       std::vector<std::vector<float>>& grads, int b);
 
-  /// Scales (when averaging), unpacks and applies the SGD update per node.
+  /// Scales (when averaging), unpacks and applies the SGD update per node;
+  /// nodes run on the worker pool when options().threads > 1, bit-identical
+  /// to the serial loop.
   void apply(std::vector<std::vector<float>>& grads);
 
   /// Applies one already-combined gradient verbatim to every node (the
@@ -207,6 +210,9 @@ class SsgdTrainer {
   /// Cost of the configured collective over `bytes` on this trainer's
   /// topology (pricing only; no data movement).
   topo::CostBreakdown cost_for_bytes(std::int64_t bytes) const;
+  /// Runs body(r) for every replica r, on the worker pool when configured.
+  /// Bodies must touch only replica r's state.
+  void for_each_replica(const std::function<void(int)>& body);
 };
 
 /// One point of the Fig. 10/11 curves.

@@ -1,11 +1,13 @@
 #include "swdnn/conv_func.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "base/log.h"
 #include "swdnn/im2col.h"
 #include "swgemm/reference.h"
+#include "swgemm/tile.h"
 
 namespace swcaffe::dnn {
 
@@ -103,41 +105,83 @@ void conv_forward_implicit(const core::ConvGeom& g, const float* bottom,
     }
     return;
   }
-  const int oh = g.out_h(), ow = g.out_w();
+  // Register-tiled direct convolution: a GEMM of the weights (No x taps)
+  // against one block of output positions at a time, im2col'd on the fly
+  // with positions of the whole batch side by side. Each output gets the
+  // taps t = (ni, kh, kw) in ascending order from +0, zero weights skipped,
+  // bias last — the additions of the scalar direct loop, in its order.
+  // Coordinate-mapped padding (Sec. IV-B2) becomes a lane mask: a clipped
+  // tap loads 0, so it adds w * 0 = +-0, which leaves a sum that started at
+  // +0 unchanged; only a non-finite w needs the mask to add +0 there.
+  using gemm::kBlockK;
+  using gemm::kBlockN;
+  using gemm::kTileM;
+  using gemm::kTileN;
+  const int oh = g.out_h(), ow = g.out_w(), k2 = g.kernel * g.kernel;
+  const int plane = oh * ow, taps = g.in_c * k2;
+  const int positions = g.batch * plane;
   const std::size_t in_img = static_cast<std::size_t>(g.in_c) * g.in_h * g.in_w;
-  const std::size_t out_img = static_cast<std::size_t>(g.out_c) * oh * ow;
-  std::fill(top, top + static_cast<std::size_t>(g.batch) * out_img, 0.0f);
-  for (int b = 0; b < g.batch; ++b) {
-    const float* in = bottom + b * in_img;
-    float* out = top + b * out_img;
-    for (int no = 0; no < g.out_c; ++no) {
-      float* oplane = out + static_cast<std::size_t>(no) * oh * ow;
-      for (int ni = 0; ni < g.in_c; ++ni) {
-        const float* iplane = in + static_cast<std::size_t>(ni) * g.in_h * g.in_w;
-        const float* w = weight + ((static_cast<std::size_t>(no) * g.in_c + ni) *
-                                   g.kernel * g.kernel);
-        for (int kh = 0; kh < g.kernel; ++kh) {
-          for (int kw = 0; kw < g.kernel; ++kw) {
-            const float wv = w[kh * g.kernel + kw];
-            if (wv == 0.0f) continue;
-            // Coordinate-mapped padding (Sec. IV-B2): clip the output range
-            // so no explicitly padded input is ever touched.
-            for (int y = 0; y < oh; ++y) {
-              const int sy = y * g.stride + kh - g.pad;
-              if (sy < 0 || sy >= g.in_h) continue;
-              const float* irow = iplane + static_cast<std::size_t>(sy) * g.in_w;
-              float* orow = oplane + static_cast<std::size_t>(y) * ow;
-              for (int x = 0; x < ow; ++x) {
-                const int sx = x * g.stride + kw - g.pad;
-                if (sx < 0 || sx >= g.in_w) continue;
-                orow[x] += wv * irow[sx];
-              }
-            }
-          }
+  const std::size_t out_img = static_cast<std::size_t>(g.out_c) * plane;
+  const std::size_t weights = static_cast<std::size_t>(g.out_c) * taps;
+  const bool finite = std::all_of(weight, weight + weights,
+                                  [](float w) { return std::isfinite(w); });
+  gemm::TileScratch& s = gemm::tile_scratch();
+  // Per position of the block: its image's input and the top-left input
+  // coordinate of its window.
+  std::vector<const float*> src(kBlockN);
+  std::vector<int> y0(kBlockN), x0(kBlockN);
+  for (int p0 = 0; p0 < positions; p0 += kBlockN) {
+    const int nc = std::min(kBlockN, positions - p0);
+    const int panels = (nc + kTileN - 1) / kTileN;
+    const std::size_t ldc = static_cast<std::size_t>(panels) * kTileN;
+    for (int q = 0; q < nc; ++q) {
+      const int b = (p0 + q) / plane, pos = (p0 + q) % plane;
+      src[q] = bottom + b * in_img;
+      y0[q] = (pos / ow) * g.stride - g.pad;
+      x0[q] = (pos % ow) * g.stride - g.pad;
+    }
+    s.c.assign(static_cast<std::size_t>(g.out_c) * ldc, 0.0f);
+    for (int t0 = 0; t0 < taps; t0 += kBlockK) {
+      const int kc = std::min(kBlockK, taps - t0);
+      const std::size_t panel = static_cast<std::size_t>(kc) * kTileN;
+      s.b.assign(panels * panel, 0.0f);
+      if (!finite) s.mask.assign(panels * panel, 0);
+      for (int l = 0; l < kc; ++l) {
+        const int t = t0 + l, ni = t / k2, kh = (t % k2) / g.kernel,
+                  kw = t % g.kernel;
+        const std::size_t plane_off =
+            static_cast<std::size_t>(ni) * g.in_h * g.in_w;
+        for (int q = 0; q < nc; ++q) {
+          const int sy = y0[q] + kh, sx = x0[q] + kw;
+          if (sy < 0 || sy >= g.in_h || sx < 0 || sx >= g.in_w) continue;
+          const std::size_t at = (q / kTileN) * panel +
+                                 static_cast<std::size_t>(l) * kTileN +
+                                 q % kTileN;
+          s.b[at] = src[q][plane_off + static_cast<std::size_t>(sy) * g.in_w + sx];
+          if (!finite) s.mask[at] = -1;
         }
       }
-      if (bias != nullptr) {
-        for (int i = 0; i < oh * ow; ++i) oplane[i] += bias[no];
+      s.a.resize(static_cast<std::size_t>(kc) * kTileM);
+      for (int no = 0; no < g.out_c; no += kTileM) {
+        const int rows = std::min(kTileM, g.out_c - no);
+        // alpha = 1 is exact: the tile sees each weight's own value.
+        gemm::pack_tile_a(weight, taps, 1, no, rows, t0, kc, 1.0f,
+                          s.a.data());
+        for (int p = 0; p < panels; ++p) {
+          gemm::tile_update(kc, s.a.data(), s.b.data() + p * panel,
+                            finite ? nullptr : s.mask.data() + p * panel,
+                            s.c.data() + no * ldc + p * kTileN, ldc, rows,
+                            kTileN);
+        }
+      }
+    }
+    for (int q = 0; q < nc; ++q) {
+      const int b = (p0 + q) / plane, pos = (p0 + q) % plane;
+      float* out = top + b * out_img + pos;
+      for (int no = 0; no < g.out_c; ++no) {
+        const float acc = s.c[no * ldc + q];
+        out[static_cast<std::size_t>(no) * plane] =
+            bias != nullptr ? acc + bias[no] : acc;
       }
     }
   }

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "base/log.h"
 #include "base/rng.h"
 #include "hw/chip.h"
+#include "oracle.h"
 #include "swgemm/estimate.h"
 #include "swgemm/mesh_gemm.h"
 #include "swgemm/reference.h"
@@ -89,6 +94,172 @@ TEST(SgemvTest, MatchesGemm) {
              expected.data());
   for (int i = 0; i < n; ++i) EXPECT_NEAR(yt[i], expected[i], 1e-5f);
 }
+
+TEST(SgemvTest, BetaZeroOverwritesGarbage) {
+  // BLAS semantics, as sgemm: beta == 0 never reads y, so NaN does not
+  // survive (0 * NaN would).
+  const std::vector<float> a{1, 2, 3, 4, 5, 6};  // 2 x 3
+  const std::vector<float> x{1, 1, 1};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> y(2, nan);
+  sgemv(false, 2, 3, 1.0f, a.data(), x.data(), 0.0f, y.data());
+  EXPECT_FLOAT_EQ(y[0], 6.0f);
+  EXPECT_FLOAT_EQ(y[1], 15.0f);
+  std::vector<float> yt(3, nan);
+  sgemv(true, 2, 3, 1.0f, a.data(), x.data(), 0.0f, yt.data());
+  EXPECT_FLOAT_EQ(yt[0], 5.0f);
+  EXPECT_FLOAT_EQ(yt[2], 9.0f);
+}
+
+// --- Same-order oracle -----------------------------------------------------------
+//
+// The scalar loops sgemm ran before its kernels were register-tiled, copied
+// verbatim. The tiled kernels promise each element of C exactly the additions
+// these loops make, in the same order, so they must agree bit for bit on any
+// input — signed zeros, denormals, infinities and NaN included (only NaN
+// payloads may differ).
+namespace order_oracle {
+
+/// NN kernel with i-l-j loop order (streams B rows, C rows stay hot).
+void gemm_nn(int m, int n, int k, float alpha, const float* a, const float* b,
+             float* c) {
+  for (int i = 0; i < m; ++i) {
+    float* ci = c + static_cast<std::size_t>(i) * n;
+    const float* ai = a + static_cast<std::size_t>(i) * k;
+    for (int l = 0; l < k; ++l) {
+      const float av = alpha * ai[l];
+      if (av == 0.0f) continue;
+      const float* bl = b + static_cast<std::size_t>(l) * n;
+      for (int j = 0; j < n; ++j) ci[j] += av * bl[j];
+    }
+  }
+}
+
+/// NT kernel: rows of A dotted with rows of B.
+void gemm_nt(int m, int n, int k, float alpha, const float* a, const float* b,
+             float* c) {
+  for (int i = 0; i < m; ++i) {
+    const float* ai = a + static_cast<std::size_t>(i) * k;
+    float* ci = c + static_cast<std::size_t>(i) * n;
+    for (int j = 0; j < n; ++j) {
+      const float* bj = b + static_cast<std::size_t>(j) * k;
+      float acc = 0.0f;
+      for (int l = 0; l < k; ++l) acc += ai[l] * bj[l];
+      ci[j] += alpha * acc;
+    }
+  }
+}
+
+/// TN kernel: columns of A (rows of A^T) times rows of B.
+void gemm_tn(int m, int n, int k, float alpha, const float* a, const float* b,
+             float* c) {
+  for (int l = 0; l < k; ++l) {
+    const float* al = a + static_cast<std::size_t>(l) * m;
+    const float* bl = b + static_cast<std::size_t>(l) * n;
+    for (int i = 0; i < m; ++i) {
+      const float av = alpha * al[i];
+      if (av == 0.0f) continue;
+      float* ci = c + static_cast<std::size_t>(i) * n;
+      for (int j = 0; j < n; ++j) ci[j] += av * bl[j];
+    }
+  }
+}
+
+void sgemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
+           const float* a, const float* b, float beta, float* c) {
+  const std::size_t cn = static_cast<std::size_t>(m) * n;
+  if (beta == 0.0f) {
+    std::fill(c, c + cn, 0.0f);
+  } else if (beta != 1.0f) {
+    for (std::size_t i = 0; i < cn; ++i) c[i] *= beta;
+  }
+  if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
+
+  if (!trans_a && !trans_b) {
+    gemm_nn(m, n, k, alpha, a, b, c);
+  } else if (!trans_a && trans_b) {
+    gemm_nt(m, n, k, alpha, a, b, c);
+  } else if (trans_a && !trans_b) {
+    gemm_tn(m, n, k, alpha, a, b, c);
+  } else {
+    std::vector<float> bt(static_cast<std::size_t>(k) * n);
+    for (int j = 0; j < n; ++j) {
+      for (int l = 0; l < k; ++l) {
+        bt[static_cast<std::size_t>(l) * n + j] =
+            b[static_cast<std::size_t>(j) * k + l];
+      }
+    }
+    gemm_tn(m, n, k, alpha, a, bt.data(), c);
+  }
+}
+
+}  // namespace order_oracle
+
+/// Runs sgemm and the oracle on the same operands; true when bitwise equal.
+::testing::AssertionResult sgemm_matches_oracle(bool ta, bool tb, int m, int n,
+                                                int k, float alpha, float beta,
+                                                base::Rng& rng,
+                                                double nonfinite_rate) {
+  const auto a = oracle::special_vec(static_cast<std::size_t>(m) * k, rng,
+                                     nonfinite_rate);
+  const auto b = oracle::special_vec(static_cast<std::size_t>(k) * n, rng,
+                                     nonfinite_rate);
+  auto c = oracle::special_vec(static_cast<std::size_t>(m) * n, rng,
+                               nonfinite_rate);
+  auto want = c;
+  order_oracle::sgemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta,
+                      want.data());
+  sgemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta, c.data());
+  const long bad = oracle::first_bit_mismatch(c, want);
+  if (bad < 0) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n
+         << " k=" << k << " alpha=" << alpha << " beta=" << beta
+         << ": C[" << bad << "] = " << c[bad] << ", oracle " << want[bad];
+}
+
+class SgemmOrderTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(SgemmOrderTest, RandomShapesMatchOracleBitForBit) {
+  // Shapes in 1..70 land on every edge tile of every kernel.
+  const auto [ta, tb] = GetParam();
+  base::Rng rng(91 + 2 * ta + tb);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(1, 70));
+    const int n = static_cast<int>(rng.uniform_int(1, 70));
+    const int k = static_cast<int>(rng.uniform_int(1, 70));
+    for (float alpha : {1.0f, 0.7f, -2.0f}) {
+      for (float beta : {0.0f, 1.0f, 0.3f}) {
+        ASSERT_TRUE(
+            sgemm_matches_oracle(ta, tb, m, n, k, alpha, beta, rng, 0.01));
+      }
+    }
+  }
+}
+
+TEST_P(SgemmOrderTest, AlexNetHotShapesMatchOracleBitForBit) {
+  // The shapes the reduced AlexNet-BN trainer spends its time in: conv
+  // weight gradients (k = 9 or 49 output positions), conv input gradients
+  // and the fc7 passes at batch 2.
+  const auto [ta, tb] = GetParam();
+  base::Rng rng(97 + 2 * ta + tb);
+  const std::tuple<int, int, int> shapes[] = {
+      {384, 3456, 9}, {3456, 9, 384}, {256, 2400, 49},
+      {2, 4096, 4096}, {4096, 4096, 2}};
+  const std::pair<float, float> alpha_beta[] = {
+      {1.0f, 0.0f}, {0.7f, 1.0f}, {-2.0f, 0.3f}};
+  for (std::size_t s = 0; s < std::size(shapes); ++s) {
+    const auto [m, n, k] = shapes[s];
+    const auto [alpha, beta] = alpha_beta[s % std::size(alpha_beta)];
+    // A handful of non-finite values per matrix, so most outputs stay finite.
+    ASSERT_TRUE(sgemm_matches_oracle(ta, tb, m, n, k, alpha, beta, rng, 2e-6));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTransposeModes, SgemmOrderTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()));
 
 // --- Mesh GEMM -----------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <thread>
@@ -555,6 +556,76 @@ TEST(SsgdTest, ThreadedReplicasBitIdenticalToSerial) {
   const auto w_threaded = train(4, threaded_losses);
   EXPECT_EQ(w_threaded, w_serial);
   EXPECT_EQ(threaded_losses, serial_losses);
+}
+
+// --- Absolute training pin ----------------------------------------------------
+//
+// Every other bit-identity test compares two runs of the same code, so a
+// kernel change that moved every value would pass them all. These pin the
+// trained bits themselves: FNV-1a over each step's loss bits and node 0's
+// packed params after a few SsgdTrainer steps. A host-kernel speedup must
+// leave the constants alone. The declared RNG change of ROADMAP item 2(b)
+// moves every seeded value and will regenerate them.
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct TrainedBits {
+  std::uint64_t losses = 14695981039346656037ULL;
+  std::uint64_t params = 14695981039346656037ULL;
+};
+
+TrainedBits train_bits(const core::NetSpec& spec, int nodes, int threads,
+                       int steps) {
+  core::SolverSpec solver;
+  solver.base_lr = 0.001f;
+  solver.momentum = 0.9f;
+  solver.weight_decay = 0.0005f;
+  SsgdOptions opt;
+  opt.supernode_size = 2;
+  opt.buckets = 2;
+  opt.threads = threads;
+  SsgdTrainer trainer(spec, nodes, solver, opt, 11);
+  const std::size_t per_node = trainer.node(0).blob("data")->count();
+  const std::size_t labels_per_node = trainer.node(0).blob("label")->count();
+  base::Rng rng(12);
+  std::vector<float> data(per_node * nodes), labels(labels_per_node * nodes);
+  TrainedBits bits;
+  for (int s = 0; s < steps; ++s) {
+    for (auto& v : data) v = rng.uniform(-1.0f, 1.0f);
+    for (auto& v : labels) v = static_cast<float>(rng.uniform_int(0, 9));
+    const double loss = trainer.step(data, labels);
+    bits.losses = fnv1a(bits.losses, &loss, sizeof(loss));
+  }
+  std::vector<float> w(trainer.node(0).param_count());
+  trainer.node(0).pack_params(w);
+  bits.params = fnv1a(bits.params, w.data(), w.size() * sizeof(float));
+  return bits;
+}
+
+TEST(TrainingPinTest, ReducedAlexNetBnSerial) {
+  const TrainedBits bits = train_bits(fixtures::replica_alexnet_spec(), 4, 1, 2);
+  EXPECT_EQ(bits.losses, 0xbcdf90f2e3c79ed6ULL);
+  EXPECT_EQ(bits.params, 0x60d67f6b91eb4b4fULL);
+}
+
+TEST(TrainingPinTest, ReducedAlexNetBnTwoThreads) {
+  const TrainedBits bits = train_bits(fixtures::replica_alexnet_spec(), 4, 2, 2);
+  EXPECT_EQ(bits.losses, 0xbcdf90f2e3c79ed6ULL);
+  EXPECT_EQ(bits.params, 0x60d67f6b91eb4b4fULL);
+}
+
+TEST(TrainingPinTest, GroupedAlexNetOriginal) {
+  const TrainedBits bits =
+      train_bits(core::alexnet_original(2, 10, 67), 2, 2, 2);
+  EXPECT_EQ(bits.losses, 0x8c0dfb0b4e07f318ULL);
+  EXPECT_EQ(bits.params, 0x0fe15220ba390151ULL);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
 #include "base/rng.h"
 #include "core/layer_desc.h"
+#include "oracle.h"
 #include "swdnn/conv_func.h"
 #include "swdnn/im2col.h"
 #include "swdnn/mem_plans.h"
@@ -188,6 +190,152 @@ TEST(ConvBackwardTest, BiasGradientIsPerChannelSum) {
       }
     }
     EXPECT_NEAR(bdiff[c], expected, 1e-4);
+  }
+}
+
+// --- Same-order oracle ----------------------------------------------------------
+//
+// conv_forward_implicit as it was before the register-tiled kernel, copied
+// verbatim. The tiled kernel promises every output exactly the additions this
+// loop makes, in the same order (clipped taps contribute a masked +0), so the
+// two must agree bit for bit on any input — signed zeros, denormals,
+// infinities and NaN included (only NaN payloads may differ).
+namespace order_oracle {
+
+struct GroupView {
+  core::ConvGeom sub;           // per-group geometry, batch = 1
+  std::size_t in_stride;        // one group's input floats
+  std::size_t out_stride;       // one group's output floats
+  std::size_t w_stride;         // one group's weight floats
+  std::size_t in_img, out_img;  // full-image strides
+};
+
+GroupView group_view(const core::ConvGeom& g) {
+  GroupView v;
+  v.sub = g.per_group();
+  v.sub.batch = 1;
+  v.in_stride = static_cast<std::size_t>(v.sub.in_c) * g.in_h * g.in_w;
+  v.out_stride = static_cast<std::size_t>(v.sub.out_c) * g.out_h() * g.out_w();
+  v.w_stride = static_cast<std::size_t>(v.sub.out_c) * v.sub.in_c * g.kernel *
+               g.kernel;
+  v.in_img = v.in_stride * g.group;
+  v.out_img = v.out_stride * g.group;
+  return v;
+}
+
+void conv_forward_implicit(const core::ConvGeom& g, const float* bottom,
+                           const float* weight, const float* bias, float* top) {
+  if (g.group > 1) {
+    const GroupView v = group_view(g);
+    for (int b = 0; b < g.batch; ++b) {
+      for (int gp = 0; gp < g.group; ++gp) {
+        conv_forward_implicit(
+            v.sub, bottom + b * v.in_img + gp * v.in_stride,
+            weight + gp * v.w_stride,
+            bias != nullptr ? bias + gp * v.sub.out_c : nullptr,
+            top + b * v.out_img + gp * v.out_stride);
+      }
+    }
+    return;
+  }
+  const int oh = g.out_h(), ow = g.out_w();
+  const std::size_t in_img = static_cast<std::size_t>(g.in_c) * g.in_h * g.in_w;
+  const std::size_t out_img = static_cast<std::size_t>(g.out_c) * oh * ow;
+  std::fill(top, top + static_cast<std::size_t>(g.batch) * out_img, 0.0f);
+  for (int b = 0; b < g.batch; ++b) {
+    const float* in = bottom + b * in_img;
+    float* out = top + b * out_img;
+    for (int no = 0; no < g.out_c; ++no) {
+      float* oplane = out + static_cast<std::size_t>(no) * oh * ow;
+      for (int ni = 0; ni < g.in_c; ++ni) {
+        const float* iplane = in + static_cast<std::size_t>(ni) * g.in_h * g.in_w;
+        const float* w = weight + ((static_cast<std::size_t>(no) * g.in_c + ni) *
+                                   g.kernel * g.kernel);
+        for (int kh = 0; kh < g.kernel; ++kh) {
+          for (int kw = 0; kw < g.kernel; ++kw) {
+            const float wv = w[kh * g.kernel + kw];
+            if (wv == 0.0f) continue;
+            // Coordinate-mapped padding (Sec. IV-B2): clip the output range
+            // so no explicitly padded input is ever touched.
+            for (int y = 0; y < oh; ++y) {
+              const int sy = y * g.stride + kh - g.pad;
+              if (sy < 0 || sy >= g.in_h) continue;
+              const float* irow = iplane + static_cast<std::size_t>(sy) * g.in_w;
+              float* orow = oplane + static_cast<std::size_t>(y) * ow;
+              for (int x = 0; x < ow; ++x) {
+                const int sx = x * g.stride + kw - g.pad;
+                if (sx < 0 || sx >= g.in_w) continue;
+                orow[x] += wv * irow[sx];
+              }
+            }
+          }
+        }
+      }
+      if (bias != nullptr) {
+        for (int i = 0; i < oh * ow; ++i) oplane[i] += bias[no];
+      }
+    }
+  }
+}
+
+}  // namespace order_oracle
+
+/// Runs the implicit forward and the oracle on the same operands; true when
+/// bitwise equal.
+::testing::AssertionResult implicit_matches_oracle(const core::ConvGeom& g,
+                                                   bool with_bias,
+                                                   base::Rng& rng,
+                                                   double nonfinite_rate) {
+  const auto bottom = oracle::special_vec(
+      static_cast<std::size_t>(g.input_count()), rng, nonfinite_rate);
+  const auto weight = oracle::special_vec(
+      static_cast<std::size_t>(g.weight_count()), rng, nonfinite_rate);
+  const auto bias = oracle::special_vec(static_cast<std::size_t>(g.out_c),
+                                        rng, nonfinite_rate);
+  const float* b = with_bias ? bias.data() : nullptr;
+  std::vector<float> got(g.output_count(), 1.0f), want(g.output_count());
+  order_oracle::conv_forward_implicit(g, bottom.data(), weight.data(), b,
+                                      want.data());
+  conv_forward_implicit(g, bottom.data(), weight.data(), b, got.data());
+  const long bad = oracle::first_bit_mismatch(got, want);
+  if (bad < 0) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "batch=" << g.batch << " in_c=" << g.in_c << " out_c=" << g.out_c
+         << " img=" << g.in_h << "x" << g.in_w << " k=" << g.kernel
+         << " s=" << g.stride << " p=" << g.pad << " group=" << g.group
+         << " bias=" << with_bias << ": top[" << bad << "] = " << got[bad]
+         << ", oracle " << want[bad];
+}
+
+TEST(ConvOrderTest, AlexNetBnLayersAt67PxMatchOracleBitForBit) {
+  // conv1..conv5 of the reduced AlexNet-BN the trainer runs (67 px, batch 2).
+  base::Rng rng(61);
+  const core::ConvGeom layers[] = {
+      make_geom(2, 3, 96, 67, 11, 4, 0), make_geom(2, 96, 256, 7, 5, 1, 2),
+      make_geom(2, 256, 384, 3, 3, 1, 1), make_geom(2, 384, 384, 3, 3, 1, 1),
+      make_geom(2, 384, 256, 3, 3, 1, 1)};
+  for (const auto& g : layers) {
+    // A handful of non-finite values per tensor, so most outputs stay finite.
+    ASSERT_TRUE(implicit_matches_oracle(g, true, rng, 2e-6));
+    ASSERT_TRUE(implicit_matches_oracle(g, false, rng, 0.0));
+  }
+}
+
+TEST(ConvOrderTest, RandomGeometriesMatchOracleBitForBit) {
+  // Random stride, pad and group, so clipped taps fall on every tile edge.
+  base::Rng rng(67);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int group = static_cast<int>(rng.uniform_int(1, 3));
+    const int kernel = static_cast<int>(rng.uniform_int(1, 5));
+    auto g = make_geom(static_cast<int>(rng.uniform_int(1, 3)),
+                       group * static_cast<int>(rng.uniform_int(1, 4)),
+                       group * static_cast<int>(rng.uniform_int(1, 11)),
+                       static_cast<int>(rng.uniform_int(kernel, 13)), kernel,
+                       static_cast<int>(rng.uniform_int(1, 3)),
+                       static_cast<int>(rng.uniform_int(0, kernel - 1)));
+    g.in_w = static_cast<int>(rng.uniform_int(kernel, 13));
+    g.group = group;
+    ASSERT_TRUE(implicit_matches_oracle(g, trial % 2 == 0, rng, 0.01));
   }
 }
 
