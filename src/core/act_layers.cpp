@@ -129,10 +129,8 @@ void DropoutLayer::forward(const std::vector<tensor::Tensor*>& bottoms,
   // Inverted dropout: scale kept activations so test time is an identity.
   const float keep = 1.0f - spec_.dropout_ratio;
   const float scale = 1.0f / keep;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    mask_[i] = rng_.bernoulli(keep) ? scale : 0.0f;
-    out[i] = in[i] * mask_[i];
-  }
+  rng_.fill_bernoulli(mask_, keep, scale);
+  for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i] * mask_[i];
 }
 
 void DropoutLayer::backward(const std::vector<tensor::Tensor*>& tops,

@@ -217,11 +217,12 @@ void SyntheticDataLayer::forward(const std::vector<tensor::Tensor*>& /*bottoms*/
     const int cls =
         static_cast<int>(rng_.uniform_int(0, spec_.num_classes - 1));
     label.data()[b] = static_cast<float>(cls);
-    float* px = data.mutable_data_ptr() + b * img;
+    const std::span<float> px = data.data().subspan(b * img, img);
+    rng_.fill_gaussian(px, 0.0f, 0.25f);
     for (std::size_t i = 0; i < img; ++i) {
       const float mean =
           0.6f * std::sin(0.37f * static_cast<float>(i + 1) * (cls + 1));
-      px[i] = mean + rng_.gaussian(0.0f, 0.25f);
+      px[i] += mean;
     }
   }
 }

@@ -1,17 +1,10 @@
 #include "fault/injector.h"
 
+#include "base/rng.h"
+
 namespace swcaffe::fault {
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
+using base::splitmix64;
 
 double FaultInjector::u01(Site site, std::uint64_t a, std::uint64_t b,
                           std::uint64_t c) const {

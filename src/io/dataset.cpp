@@ -27,10 +27,11 @@ void SyntheticImageNet::fill_image(std::int64_t index,
   base::Rng rng(spec_.seed ^ (static_cast<std::uint64_t>(index) * 0xABCDull));
   // Class-dependent low-frequency pattern plus noise: enough structure for a
   // model to fit, statistically ImageNet-like in mean/variance.
+  rng.fill_gaussian(out, 0.0f, 0.3f);
   for (std::size_t i = 0; i < n; ++i) {
     const float pattern =
         0.5f * std::sin(0.01f * static_cast<float>(i) * ((label % 17) + 1));
-    out[i] = pattern + rng.gaussian(0.0f, 0.3f);
+    out[i] += pattern;
   }
 }
 

@@ -3,16 +3,12 @@
 #include <algorithm>
 
 #include "base/log.h"
+#include "base/rng.h"
 
 namespace swcaffe::sched {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using base::splitmix64;
 
 /// Pure per-(seed, job, field) draw in [0, n).
 std::uint64_t draw(std::uint64_t seed, int job, int field, std::uint64_t n) {

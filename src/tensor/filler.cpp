@@ -1,5 +1,6 @@
 #include "tensor/filler.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/log.h"
@@ -45,13 +46,13 @@ void fill(Tensor& t, const FillerSpec& spec, base::Rng& rng) {
   auto data = t.data();
   switch (spec.type) {
     case FillerType::kConstant:
-      for (auto& v : data) v = spec.value;
+      std::ranges::fill(data, spec.value);
       break;
     case FillerType::kUniform:
-      for (auto& v : data) v = rng.uniform(spec.min, spec.max);
+      rng.fill_uniform(data, spec.min, spec.max);
       break;
     case FillerType::kGaussian:
-      for (auto& v : data) v = rng.gaussian(spec.mean, spec.stddev);
+      rng.fill_gaussian(data, spec.mean, spec.stddev);
       break;
     case FillerType::kXavier: {
       SWC_CHECK_GE(t.num_axes(), 2);
@@ -59,14 +60,14 @@ void fill(Tensor& t, const FillerSpec& spec, base::Rng& rng) {
       const double fan_out = static_cast<double>(t.count()) / t.dim(1);
       const float scale =
           static_cast<float>(std::sqrt(6.0 / (fan_in + fan_out)));
-      for (auto& v : data) v = rng.uniform(-scale, scale);
+      rng.fill_uniform(data, -scale, scale);
       break;
     }
     case FillerType::kMsra: {
       SWC_CHECK_GE(t.num_axes(), 2);
       const double fan_in = static_cast<double>(t.count()) / t.dim(0);
       const float stddev = static_cast<float>(std::sqrt(2.0 / fan_in));
-      for (auto& v : data) v = rng.gaussian(0.0f, stddev);
+      rng.fill_gaussian(data, 0.0f, stddev);
       break;
     }
   }

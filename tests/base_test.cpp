@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "base/log.h"
 #include "base/rng.h"
@@ -71,6 +79,204 @@ TEST(RngTest, BernoulliFrequency) {
   const int n = 10000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.03);
+}
+
+// Known answers: the first 8 draws of every method from a fresh Rng, as bit
+// patterns. They follow from the stream layout in DESIGN.md ("RNG contract")
+// alone, so every toolchain must reproduce them. Seed 1's gaussian pair 3 and
+// both seeds' uniform_int(-1, INT64_MAX) take the retry sub-streams.
+struct RngKnownAnswers {
+  std::uint64_t seed;
+  std::array<std::uint32_t, 8> uniform_m1_1;
+  std::array<std::uint32_t, 8> gaussian_0_1;
+  std::array<std::int64_t, 8> uniform_int_0_999;
+  std::array<std::int64_t, 8> uniform_int_m1_max;
+  std::array<std::uint64_t, 8> uniform_int_full;
+  std::array<bool, 8> bernoulli_half;
+};
+
+const RngKnownAnswers kRngKnownAnswers[] = {
+    {1,
+     {0xbe86f954, 0x3f631ada, 0xbf68d413, 0x3f0e0c36, 0xbf0fd024, 0x3f0c7e0c,
+      0x3e814c08, 0xbf018dc7},
+     {0xbf03b588, 0xbf139e20, 0x3eb97bff, 0x3def7cdb, 0xbea605b0, 0x3ef78876,
+      0x3e269f88, 0xbed92ec6},
+     {368, 943, 45, 777, 219, 774, 626, 246},
+     {7471780255444054971, 8702843941935282422, 7665508834775819560,
+      7459174984460173038, 2020980364105923367, 7142571665318769129,
+      1568232697042390660, 2277851939543494748},
+     {0xde41ab087439611e, 0x718d6ce93d6cf1ee, 0x8b95f66d327e8d78,
+      0x47061b1b93322ba9, 0xb817edddf9257651, 0x463f062c5c30e3d4,
+      0x205302141a219f0b, 0xbf391c8a76d960bb},
+     {true, false, true, false, true, false, false, true}},
+    {0x5eed,
+     {0xbf5afa74, 0x3efb4c19, 0x3e834af4, 0xbf668ed0, 0x3f17a512, 0xbef10ffd,
+      0xbe8a9f9c, 0x3ea06239},
+     {0x3d4fa2c2, 0x3c897b0b, 0x3e86a0ba, 0xbed8b92a, 0x3e817984, 0xbf8b26f8,
+      0x3d7a70d5, 0x3f6e3589},
+     {72, 745, 628, 49, 796, 264, 364, 656},
+     {7741526091612152461, 6875170492305891781, 8442250493370457622,
+      458324713632761158, 7343476035848659716, 2440388427776797275,
+      3135008341563446947, 6056293748476490637},
+     {0x9282c5cd2debcee8, 0x3ed30645e847c38c, 0x20d2bcf64a59b8c3,
+      0x8cb897cc27ba0a8f, 0x4bd289182ab4c60a, 0xc3bc00b0cf3854b9,
+      0xdd58191789e99052, 0x28188e273ab8671c},
+     {true, false, false, true, false, true, true, false}},
+};
+
+TEST(RngTest, KnownAnswersAreBitExact) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const RngKnownAnswers& k : kRngKnownAnswers) {
+    SCOPED_TRACE("seed " + std::to_string(k.seed));
+    base::Rng u(k.seed), g(k.seed), i(k.seed), m(k.seed), f(k.seed),
+        b(k.seed);
+    for (int n = 0; n < 8; ++n) {
+      SCOPED_TRACE("draw " + std::to_string(n));
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(u.uniform(-1.0f, 1.0f)),
+                k.uniform_m1_1[n]);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(g.gaussian(0.0f, 1.0f)),
+                k.gaussian_0_1[n]);
+      EXPECT_EQ(i.uniform_int(0, 999), k.uniform_int_0_999[n]);
+      EXPECT_EQ(m.uniform_int(-1, kMax), k.uniform_int_m1_max[n]);
+      EXPECT_EQ(static_cast<std::uint64_t>(f.uniform_int(kMin, kMax)),
+                k.uniform_int_full[n]);
+      EXPECT_EQ(b.bernoulli(0.5), k.bernoulli_half[n]);
+    }
+  }
+}
+
+TEST(RngTest, SplitmixMatchesTheReferenceStream) {
+  // Outputs 0 and 1 of splitmix64 seeded with 0 (Vigna's reference code).
+  EXPECT_EQ(base::splitmix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(base::splitmix64(base::kSplitmixGamma), 0x6e789e6aa1b965f4ULL);
+}
+
+std::vector<std::uint32_t> bits_of(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out;
+  for (float x : v) out.push_back(std::bit_cast<std::uint32_t>(x));
+  return out;
+}
+
+TEST(RngTest, BulkFillsEqualScalarDraws) {
+  constexpr std::size_t kN = 37;
+  for (std::uint64_t seed : {3ULL, 0x5eedULL}) {
+    base::Rng scalar(seed), bulk(seed), split(seed);
+    std::vector<float> want(3 * kN), got(3 * kN), parts(3 * kN);
+    for (std::size_t i = 0; i < kN; ++i) want[i] = scalar.gaussian(0.5f, 2.0f);
+    for (std::size_t i = kN; i < 2 * kN; ++i) {
+      want[i] = scalar.uniform(-3.0f, 5.0f);
+    }
+    for (std::size_t i = 2 * kN; i < 3 * kN; ++i) {
+      want[i] = scalar.bernoulli(0.3) ? 4.0f : 0.0f;
+    }
+    const std::span<float> all(got);
+    bulk.fill_gaussian(all.subspan(0, kN), 0.5f, 2.0f);
+    bulk.fill_uniform(all.subspan(kN, kN), -3.0f, 5.0f);
+    bulk.fill_bernoulli(all.subspan(2 * kN, kN), 0.3, 4.0f);
+    EXPECT_EQ(bits_of(got), bits_of(want));
+    // The same draws split at odd offsets: fills that end inside a gaussian
+    // pair, one that starts on its second half, and a scalar draw between.
+    const std::span<float> p(parts);
+    split.fill_gaussian(p.subspan(0, 5), 0.5f, 2.0f);
+    split.fill_gaussian(p.subspan(5, 2), 0.5f, 2.0f);
+    p[7] = split.gaussian(0.5f, 2.0f);
+    split.fill_gaussian(p.subspan(8, kN - 8), 0.5f, 2.0f);
+    split.fill_uniform(p.subspan(kN, 1), -3.0f, 5.0f);
+    split.fill_uniform(p.subspan(kN + 1, kN - 1), -3.0f, 5.0f);
+    split.fill_bernoulli(p.subspan(2 * kN, 9), 0.3, 4.0f);
+    split.fill_bernoulli(p.subspan(2 * kN + 9, kN - 9), 0.3, 4.0f);
+    EXPECT_EQ(bits_of(parts), bits_of(want));
+  }
+}
+
+TEST(RngTest, ValueAtAPositionDependsOnlyOnSeedAndPosition) {
+  // A gaussian drawn at position 7 after other methods equals element 7 of a
+  // gaussian fill: the stream is addressed by position, not by history.
+  base::Rng mixed(9), fresh(9);
+  mixed.uniform(0.0f, 1.0f);
+  mixed.uniform_int(0, 5);
+  mixed.bernoulli(0.5);
+  std::vector<float> skip(4);
+  mixed.fill_uniform(skip, -1.0f, 1.0f);
+  std::vector<float> ref(8);
+  fresh.fill_gaussian(ref, 0.0f, 1.0f);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(mixed.gaussian(0.0f, 1.0f)),
+            std::bit_cast<std::uint32_t>(ref[7]));
+}
+
+TEST(RngTest, UniformIntReachesBothEndsAndHandlesDegenerateRange) {
+  base::Rng rng(5);
+  std::array<int, 4> hits{};
+  for (int i = 0; i < 400; ++i) {
+    const std::int64_t v = rng.uniform_int(3, 6);
+    ASSERT_GE(v, 3);
+    ASSERT_LE(v, 6);
+    ++hits[v - 3];
+  }
+  for (int h : hits) EXPECT_GT(h, 60);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.uniform_int(-7, -7), -7);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(rng.uniform_int(kMin, kMin), kMin);
+  EXPECT_EQ(rng.uniform_int(kMax, kMax), kMax);
+  bool neg = false, pos = false;
+  for (int i = 0; i < 64; ++i) {
+    const std::int64_t v = rng.uniform_int(kMin, kMax);
+    neg |= v < 0;
+    pos |= v > 0;
+  }
+  EXPECT_TRUE(neg && pos);
+}
+
+TEST(RngTest, UniformNeverReturnsHi) {
+  // A one-ulp range: about half of the exact values round to hi.
+  const float lo = 1.0f;
+  const float hi = std::nextafter(lo, 2.0f);
+  base::Rng rng(17);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.uniform(lo, hi), lo);
+  std::vector<float> v(1000);
+  rng.fill_uniform(v, lo, hi);
+  for (float x : v) ASSERT_EQ(x, lo);
+}
+
+TEST(RngTest, GaussianMeanAndVarianceOverABulkFill) {
+  base::Rng rng(23);
+  std::vector<float> v(1 << 20);
+  rng.fill_gaussian(v, -1.5f, 0.5f);
+  double sum = 0.0, sq = 0.0;
+  for (float x : v) sum += x;
+  const double mean = sum / v.size();
+  for (float x : v) sq += (x - mean) * (x - mean);
+  const double var = sq / (v.size() - 1);
+  // Standard errors: 0.5 / 1024 for the mean, ~0.25 * sqrt(2 / n) for the
+  // variance; the bounds are about five of them.
+  EXPECT_NEAR(mean, -1.5, 0.0025);
+  EXPECT_NEAR(var, 0.25, 0.0018);
+}
+
+TEST(RngTest, RejectsInvalidParameters) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  base::Rng rng(1);
+  std::vector<float> v(4);
+  EXPECT_THROW(rng.uniform(1.0f, 1.0f), base::CheckError);
+  EXPECT_THROW(rng.uniform(2.0f, 1.0f), base::CheckError);
+  EXPECT_THROW(rng.uniform(kNan, 1.0f), base::CheckError);
+  EXPECT_THROW(rng.uniform(0.0f, kInf), base::CheckError);
+  EXPECT_THROW(rng.fill_uniform(v, 1.0f, 1.0f), base::CheckError);
+  EXPECT_THROW(rng.uniform_int(5, 4), base::CheckError);
+  EXPECT_THROW(rng.bernoulli(-0.1), base::CheckError);
+  EXPECT_THROW(rng.bernoulli(1.1), base::CheckError);
+  EXPECT_THROW(rng.bernoulli(std::nan("")), base::CheckError);
+  EXPECT_THROW(rng.fill_bernoulli(v, 2.0, 1.0f), base::CheckError);
+  EXPECT_THROW(rng.gaussian(0.0f, -1.0f), base::CheckError);
+  EXPECT_THROW(rng.gaussian(0.0f, kNan), base::CheckError);
+  EXPECT_THROW(rng.fill_gaussian(v, 0.0f, -1.0f), base::CheckError);
+  // The valid edges of each range.
+  EXPECT_FALSE(rng.bernoulli(0.0));
+  EXPECT_TRUE(rng.bernoulli(1.0));
+  EXPECT_EQ(rng.gaussian(3.0f, 0.0f), 3.0f);
 }
 
 TEST(TableTest, AlignsColumnsAndCountsRows) {

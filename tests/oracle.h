@@ -15,20 +15,10 @@
 namespace swcaffe::oracle {
 
 /// Uniform values in [-1, 1] with about 4% +0, 2% -0 and 2% denormals, plus
-/// +Inf, -Inf and NaN each at `nonfinite_rate`. Draws come from a splitmix64
-/// stream seeded by `rng`: the hot-shape operands reach 16 M elements, where
-/// std::*_distribution draws would dominate the tests' run time.
+/// +Inf, -Inf and NaN each at `nonfinite_rate`.
 inline std::vector<float> special_vec(std::size_t n, base::Rng& rng,
                                       double nonfinite_rate) {
-  std::uint64_t state = rng.engine()();
-  auto unit = [&state] {  // uniform in [0, 1), 24 random bits
-    state += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    z ^= z >> 31;
-    return static_cast<float>(z >> 40) * 0x1.0p-24f;
-  };
+  auto unit = [&rng] { return rng.uniform(0.0f, 1.0f); };
   constexpr float kInf = std::numeric_limits<float>::infinity();
   std::vector<float> v(n);
   for (auto& x : v) {

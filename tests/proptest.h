@@ -8,9 +8,8 @@
 // (seed, case) pair that produced them.
 //
 // The Rng is intentionally tiny: uniform u64 / double / float helpers over
-// splitmix64, which is statistically solid for test-input generation and
-// needs no <random> distributions (whose outputs differ across standard
-// libraries — these sequences must be identical everywhere).
+// the plain base::splitmix64 stream, which is statistically solid for
+// test-input generation and identical on every toolchain.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -18,19 +17,19 @@
 #include <cstdint>
 #include <string>
 
+#include "base/rng.h"
+
 namespace swcaffe::proptest {
 
-/// splitmix64 (Steele, Lea, Flood): one 64-bit multiply-xorshift chain per
-/// draw; passes BigCrush when used as a stream.
+/// The splitmix64 stream seeded with `seed`; passes BigCrush.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next_u64() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const std::uint64_t z = base::splitmix64(state_);
+    state_ += base::kSplitmixGamma;
+    return z;
   }
 
   /// Uniform in [0, bound) (bound 0 returns 0).
