@@ -1,6 +1,7 @@
 #include "check/timeline_extract.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -41,6 +42,80 @@ std::string describe_comm_op(const CommOp& op) {
          std::to_string(op.peer_col) + ")";
   }
   return s;
+}
+
+/// prefix_horizon(batches)[k] is the busy horizon of batches[0, k): the
+/// running max of their finish_s, seeded with 0.0 and advanced with `>`
+/// so a NaN finish never raises it.
+std::vector<double> prefix_horizon(
+    const std::vector<serve::BatchRecord>& batches) {
+  std::vector<double> horizon(batches.size() + 1, 0.0);
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    horizon[k + 1] =
+        batches[k].finish_s > horizon[k] ? batches[k].finish_s : horizon[k];
+  }
+  return horizon;
+}
+
+/// Queued-ahead counts of the admitted requests: for each admitted i, the
+/// admitted j with id_j < id_i and launch_j >= arrival_i. An offline
+/// dominance count: requests are walked in id order one group of equal ids
+/// at a time, every query of a group is answered before any of its launches
+/// is inserted, and a Fenwick tree over the sorted non-NaN launch times
+/// counts the inserted launches below the arrival. A NaN arrival counts 0
+/// and a NaN launch is never inserted, exactly as under `>=`; ±0 compare
+/// equal in the sort and the search, so they tie as under `>=` too.
+std::vector<std::int64_t> queued_ahead(
+    const std::vector<serve::RequestRecord>& requests,
+    const std::vector<std::size_t>& admitted) {
+  std::vector<double> launches;
+  launches.reserve(admitted.size());
+  for (std::size_t i : admitted) {
+    if (!std::isnan(requests[i].launch_s)) {
+      launches.push_back(requests[i].launch_s);
+    }
+  }
+  std::sort(launches.begin(), launches.end());
+  const auto rank = [&](double t) {
+    return static_cast<std::size_t>(
+        std::lower_bound(launches.begin(), launches.end(), t) -
+        launches.begin());
+  };
+
+  std::vector<std::size_t> by_id = admitted;
+  std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
+    return requests[a].id < requests[b].id;
+  });
+  std::vector<std::int64_t> tree(launches.size() + 1, 0);
+  std::int64_t inserted = 0;
+  std::vector<std::int64_t> queued(requests.size(), 0);
+  for (std::size_t lo = 0; lo < by_id.size();) {
+    std::size_t hi = lo + 1;
+    while (hi < by_id.size() &&
+           requests[by_id[hi]].id == requests[by_id[lo]].id) {
+      ++hi;
+    }
+    for (std::size_t k = lo; k < hi; ++k) {
+      const double arrival = requests[by_id[k]].arrival_s;
+      if (std::isnan(arrival)) continue;
+      std::int64_t below = 0;
+      for (std::size_t p = rank(arrival); p > 0; p &= p - 1) {
+        below += tree[p];
+      }
+      queued[by_id[k]] = inserted - below;
+    }
+    for (std::size_t k = lo; k < hi; ++k) {
+      const double launch = requests[by_id[k]].launch_s;
+      if (std::isnan(launch)) continue;
+      for (std::size_t p = rank(launch) + 1; p < tree.size();
+           p += p & (~p + 1)) {  // + lowest set bit
+        ++tree[p];
+      }
+      ++inserted;
+    }
+    lo = hi;
+  }
+  return queued;
 }
 
 }  // namespace
@@ -150,11 +225,58 @@ TimelineGraph timeline_from_serving(
     const std::string& name, const std::vector<serve::RequestRecord>& requests,
     const std::vector<serve::BatchRecord>& batches,
     const ServingContract& contract) {
+  const bool done_events = contract.admission && contract.slo_s >= 0.0;
+  const bool bound_events = contract.admission && contract.max_batch > 0;
+
+  std::vector<std::size_t> admitted;
+  admitted.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i].admitted) admitted.push_back(i);
+  }
+
+  // Members of a batch are the admitted requests whose `batch` equals its
+  // id, in index order: one stable sort by `batch`, then one index-ordered
+  // range per batch. Ids need not equal indices, and a repeated id shares
+  // one range.
+  std::vector<std::size_t> by_batch = admitted;
+  std::stable_sort(by_batch.begin(), by_batch.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return requests[a].batch < requests[b].batch;
+                   });
+  using Members = std::vector<std::size_t>::const_iterator;
+  std::vector<std::pair<Members, Members>> members(batches.size());
+  std::size_t member_events = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const int id = batches[b].id;
+    const Members lo = std::partition_point(
+        by_batch.cbegin(), by_batch.cend(),
+        [&](std::size_t i) { return requests[i].batch < id; });
+    const Members hi =
+        std::partition_point(lo, by_batch.cend(), [&](std::size_t i) {
+          return requests[i].batch == id;
+        });
+    members[b] = {lo, hi};
+    member_events += static_cast<std::size_t>(hi - lo);
+  }
+
+  std::vector<double> horizon;
+  std::vector<std::int64_t> queued;
+  if (bound_events) {
+    horizon = prefix_horizon(batches);
+    queued = queued_ahead(requests, admitted);
+  }
+
   TimelineGraph g;
   g.name = name;
   const int client_actor = g.add_actor("client");
   const int server_actor = g.add_actor("server");
   const int server_res = g.add_resource("server");
+  const std::size_t per_member = static_cast<std::size_t>(done_events) +
+                                 static_cast<std::size_t>(bound_events);
+  g.ledgers.reserve(batches.size());
+  g.events.reserve(admitted.size() + batches.size() +
+                   member_events * per_member);
+  g.edges.reserve(member_events * (1 + per_member));
 
   // One ledger per batch: the arrivals that claim membership must sum to
   // exactly the batch's recorded size (requests are conserved — none shed
@@ -167,9 +289,8 @@ TimelineGraph timeline_from_serving(
 
   // Client lane: admitted arrivals in id order (the FIFO admission order).
   std::vector<int> arrival_event(requests.size(), -1);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t i : admitted) {
     const serve::RequestRecord& r = requests[i];
-    if (!r.admitted) continue;
     TimelineEvent arrive;
     arrive.name = "arrive req" + std::to_string(r.id);
     arrive.actor = client_actor;
@@ -205,6 +326,7 @@ TimelineGraph timeline_from_serving(
   // request not provably launched before the arrival.
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const serve::BatchRecord& batch = batches[b];
+    const auto [first, last] = members[b];
     TimelineEvent run;
     run.name = "batch" + std::to_string(batch.id) + " (x" +
                std::to_string(batch.size) + ")";
@@ -212,23 +334,17 @@ TimelineGraph timeline_from_serving(
     run.resource = server_res;
     run.start_s = batch.launch_s;
     run.end_s = batch.finish_s;
-    std::vector<std::size_t> members;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (requests[i].admitted &&
-          requests[i].batch == static_cast<int>(batches[b].id)) {
-        run.accesses.push_back(StateAccess{req_state(requests[i].id), false});
-        members.push_back(i);
-      }
+    run.accesses.reserve(static_cast<std::size_t>(last - first));
+    for (auto it = first; it != last; ++it) {
+      run.accesses.push_back(StateAccess{req_state(requests[*it].id), false});
     }
     const int run_ev = g.add_event(std::move(run));
-    for (std::size_t i : members) {
-      if (arrival_event[i] >= 0) {
-        g.add_edge(arrival_event[i], run_ev, "queued");
-      }
+    for (auto it = first; it != last; ++it) {
+      g.add_edge(arrival_event[*it], run_ev, "queued");
     }
-    for (std::size_t i : members) {
-      const serve::RequestRecord& r = requests[i];
-      if (contract.admission && contract.slo_s >= 0.0) {
+    for (auto it = first; it != last; ++it) {
+      const serve::RequestRecord& r = requests[*it];
+      if (done_events) {
         TimelineEvent done;
         done.name = "done req" + std::to_string(r.id);
         done.actor = server_actor;
@@ -239,7 +355,7 @@ TimelineGraph timeline_from_serving(
         const int done_ev = g.add_event(std::move(done));
         g.add_edge(run_ev, done_ev, "batch completes request");
       }
-      if (contract.admission && contract.max_batch > 0) {
+      if (bound_events) {
         // A batch occupies the busy horizon once it is FORMED, which can
         // happen before its placed start on the engine (the busy interval
         // starts at max(formation time, previous finish)), so filtering on
@@ -247,30 +363,18 @@ TimelineGraph timeline_from_serving(
         // order and this request's own batch forms at or after its arrival,
         // so "id ahead of mine" is the sound superset of "formed before my
         // arrival".
-        double busy_horizon = 0.0;
         const std::size_t ahead =
             r.batch >= 0 && static_cast<std::size_t>(r.batch) < batches.size()
                 ? static_cast<std::size_t>(r.batch)
                 : batches.size();
-        for (std::size_t b = 0; b < ahead; ++b) {
-          if (batches[b].finish_s > busy_horizon) {
-            busy_horizon = batches[b].finish_s;
-          }
-        }
-        std::int64_t queued = 0;
-        for (const serve::RequestRecord& other : requests) {
-          if (other.admitted && other.id < r.id &&
-              other.launch_s >= r.arrival_s) {
-            ++queued;
-          }
-        }
+        const double busy_horizon = horizon[ahead];
         const double backlog_free =
             busy_horizon > r.arrival_s + contract.max_delay_s
                 ? busy_horizon
                 : r.arrival_s + contract.max_delay_s;
         const double bound =
             backlog_free +
-            static_cast<double>(queued / contract.max_batch + 1) *
+            static_cast<double>(queued[*it] / contract.max_batch + 1) *
                 contract.max_batch_forward_s;
         TimelineEvent bd;
         bd.name = "bound req" + std::to_string(r.id);
@@ -353,7 +457,9 @@ TimelineGraph timeline_from_comm(const std::string& name,
     const CommSchedule& phase = phases[p];
     for (const CommOp& op : phase.ops) {
       TimelineEvent ev;
-      ev.name = "p" + std::to_string(p) + " " + describe_comm_op(op);
+      ev.name = "p";
+      ev.name.append(std::to_string(p)).append(" ").append(
+          describe_comm_op(op));
       ev.actor = actors.at({op.row, op.col});
       ev.bytes = static_cast<std::int64_t>(op.bytes);
       const int idx = g.add_event(std::move(ev));

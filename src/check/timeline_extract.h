@@ -80,6 +80,25 @@ struct ServingContract {
 };
 
 /// Builds the serving timeline from one simulation's request/batch records.
+///
+/// Every admitted request gets an arrival event; every batch a run event
+/// reading its members (the admitted requests whose `batch` equals the
+/// batch's id, in index order) and, per member as the contract enables, a
+/// "done" event (SLO deadline) and a "bound" event whose deadline is the
+/// re-derived admission bound
+///
+///   max(busy horizon, arrival + max_delay)
+///     + (queued ahead / max_batch + 1) * max_batch_forward_s.
+///
+/// The busy horizon is the running max of finish_s over the batches ahead
+/// of the request's own (all batches when `batch` is out of range). Queued
+/// ahead is a dominance count: the admitted requests with a smaller id
+/// whose launch_s is >= this arrival_s (a NaN on either side never counts).
+///
+/// Runs in O((R + B) log R) for R requests and B batches: one stable sort
+/// groups the members, a prefix max gives every busy horizon, and an
+/// offline Fenwick-tree sweep in id order gives every queued-ahead count.
+/// The event and edge vectors are reserved to their exact final size.
 TimelineGraph timeline_from_serving(
     const std::string& name, const std::vector<serve::RequestRecord>& requests,
     const std::vector<serve::BatchRecord>& batches,

@@ -17,7 +17,9 @@ std::string num(double v) {
 }
 
 std::string quoted(const std::string& s) {
-  return "\"" + trace::json_escape(s) + "\"";
+  std::string out = "\"";
+  out.append(trace::json_escape(s)).append("\"");
+  return out;
 }
 
 }  // namespace

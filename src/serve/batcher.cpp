@@ -14,9 +14,12 @@ namespace {
 
 /// Handler state shared by the arrival and launch-deadline events.
 struct Server {
+  Server(const InferenceEngine& e, const ServeOptions& o, sim::Engine* s)
+      : engine(e), opts(o), sim(s) {}
+
   const InferenceEngine& engine;
   const ServeOptions& opts;
-  sim::Engine* sim = nullptr;
+  sim::Engine* sim;
   int server_actor = 0;  ///< actor 0: launch deadlines (ties beat arrivals)
   int client_actor = 0;  ///< actor 1: the open-loop arrival stream
   int server_res = 0;    ///< the one inference engine, served exclusively

@@ -1,23 +1,29 @@
 // swsched: every timeline diagnostic fires on a deliberately broken
 // schedule, stays silent on the schedules the stack actually ships
 // (overlapped all-reduce at every bucket count, the serving simulator's own
-// records, the default retry ladder, composed RHD collectives), and the
-// analysis itself is pure — same graph, byte-identical report.
+// records, the default retry ladder, composed RHD collectives), the
+// analysis itself is pure — same graph, byte-identical report — and the
+// serving extractor emits, byte for byte, the graph of its quadratic
+// original.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
-#include <algorithm>
 #include <utility>
 #include <vector>
 
+#include "base/rng.h"
 #include "check/plan_model.h"
 #include "check/timeline.h"
 #include "check/timeline_extract.h"
 #include "check/timeline_io.h"
 #include "core/models.h"
 #include "hw/cost_model.h"
+#include "serve/arrival.h"
 #include "serve/batcher.h"
 #include "serve/engine.h"
 #include "serve/request.h"
@@ -276,7 +282,8 @@ TEST(TimelineSilent, ServingSimulatorRecordsVerifySilent) {
   // simulate_serving); re-extracting here additionally pins that the
   // records stay silent under a saturating deterministic load.
   const hw::CostModel cost;
-  const serve::EngineOptions eopts{.max_batch = 4};
+  serve::EngineOptions eopts;
+  eopts.max_batch = 4;
   const serve::InferenceEngine engine(
       cost, "alexnet-small",
       [](int b) { return core::alexnet_bn(b, 10, 67, false); }, eopts);
@@ -429,6 +436,346 @@ TEST(TimelineInfra, JsonParseFailureReportsOffset) {
   EXPECT_FALSE(timeline_from_json("[1, 2", &g, &error));
   std::vector<TimelineGraph> graphs;
   EXPECT_FALSE(timelines_from_json("nope", &graphs, &error));
+}
+
+// ---------------------------------------------------------------------------
+// Same-output oracle: the serving extractor against its quadratic original
+// ---------------------------------------------------------------------------
+
+std::string req_state(std::int64_t id) {
+  return "req" + std::to_string(id);
+}
+
+/// The serving extractor before its O((R + B) log R) rewrite, copied
+/// verbatim: members by a scan of every request per batch, and per member a
+/// rescan of the batches ahead (busy horizon) and of every request (queued
+/// ahead). The fast extractor must emit this graph byte for byte.
+TimelineGraph oracle_timeline_from_serving(
+    const std::string& name, const std::vector<serve::RequestRecord>& requests,
+    const std::vector<serve::BatchRecord>& batches,
+    const ServingContract& contract) {
+  TimelineGraph g;
+  g.name = name;
+  const int client_actor = g.add_actor("client");
+  const int server_actor = g.add_actor("server");
+  const int server_res = g.add_resource("server");
+
+  // One ledger per batch: the arrivals that claim membership must sum to
+  // exactly the batch's recorded size (requests are conserved — none shed
+  // into a batch, none invented).
+  std::vector<int> batch_ledger(batches.size(), -1);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    batch_ledger[b] = g.add_ledger("batch" + std::to_string(batches[b].id),
+                                   batches[b].size);
+  }
+
+  // Client lane: admitted arrivals in id order (the FIFO admission order).
+  std::vector<int> arrival_event(requests.size(), -1);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const serve::RequestRecord& r = requests[i];
+    if (!r.admitted) continue;
+    TimelineEvent arrive;
+    arrive.name = "arrive req" + std::to_string(r.id);
+    arrive.actor = client_actor;
+    arrive.start_s = r.arrival_s;
+    arrive.end_s = r.arrival_s;
+    arrive.bytes = 1;
+    if (r.batch >= 0 && r.batch < static_cast<int>(batches.size())) {
+      arrive.ledger = batch_ledger[static_cast<std::size_t>(r.batch)];
+    }
+    arrive.accesses.push_back(StateAccess{req_state(r.id), true});
+    arrival_event[i] = g.add_event(std::move(arrive));
+  }
+
+  // Server lane: batches in launch order on the exclusive engine, each
+  // reading its members' request slots; members' completions ride directly
+  // behind their batch so program order matches simulated time.
+  //
+  // Each member also gets a "bound" point event whose hard deadline is the
+  // admission upper bound RE-DERIVED from the records alone:
+  //
+  //   max(busy horizon at arrival, arrival + max_delay)
+  //     + (queued-ahead / max_batch + 1) * f(max_batch)
+  //
+  // Both terms are conservative over-approximations of the state the
+  // batcher saw, so the derived bound is never below the bound the batcher
+  // actually promised — a finish that beats the batcher's bound always
+  // beats this one, and a finish that breaks it is a genuine
+  // admission-soundness violation. Concretely: the busy horizon counts any
+  // batch that COULD have been formed by the arrival (every batch ahead of
+  // the request's own in FIFO order — formation can precede the batch's
+  // placed start on the busy engine, so filtering on recorded launch times
+  // would under-count), and queued-ahead counts every earlier admitted
+  // request not provably launched before the arrival.
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const serve::BatchRecord& batch = batches[b];
+    TimelineEvent run;
+    run.name = "batch" + std::to_string(batch.id) + " (x" +
+               std::to_string(batch.size) + ")";
+    run.actor = server_actor;
+    run.resource = server_res;
+    run.start_s = batch.launch_s;
+    run.end_s = batch.finish_s;
+    std::vector<std::size_t> members;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (requests[i].admitted &&
+          requests[i].batch == static_cast<int>(batches[b].id)) {
+        run.accesses.push_back(StateAccess{req_state(requests[i].id), false});
+        members.push_back(i);
+      }
+    }
+    const int run_ev = g.add_event(std::move(run));
+    for (std::size_t i : members) {
+      if (arrival_event[i] >= 0) {
+        g.add_edge(arrival_event[i], run_ev, "queued");
+      }
+    }
+    for (std::size_t i : members) {
+      const serve::RequestRecord& r = requests[i];
+      if (contract.admission && contract.slo_s >= 0.0) {
+        TimelineEvent done;
+        done.name = "done req" + std::to_string(r.id);
+        done.actor = server_actor;
+        done.start_s = r.finish_s;
+        done.end_s = r.finish_s;
+        done.deadline_s = r.arrival_s + contract.slo_s;
+        done.hard_deadline = true;
+        const int done_ev = g.add_event(std::move(done));
+        g.add_edge(run_ev, done_ev, "batch completes request");
+      }
+      if (contract.admission && contract.max_batch > 0) {
+        // A batch occupies the busy horizon once it is FORMED, which can
+        // happen before its placed start on the engine (the busy interval
+        // starts at max(formation time, previous finish)), so filtering on
+        // recorded launch times would under-count. Batches form in FIFO id
+        // order and this request's own batch forms at or after its arrival,
+        // so "id ahead of mine" is the sound superset of "formed before my
+        // arrival".
+        double busy_horizon = 0.0;
+        const std::size_t ahead =
+            r.batch >= 0 && static_cast<std::size_t>(r.batch) < batches.size()
+                ? static_cast<std::size_t>(r.batch)
+                : batches.size();
+        for (std::size_t b = 0; b < ahead; ++b) {
+          if (batches[b].finish_s > busy_horizon) {
+            busy_horizon = batches[b].finish_s;
+          }
+        }
+        std::int64_t queued = 0;
+        for (const serve::RequestRecord& other : requests) {
+          if (other.admitted && other.id < r.id &&
+              other.launch_s >= r.arrival_s) {
+            ++queued;
+          }
+        }
+        const double backlog_free =
+            busy_horizon > r.arrival_s + contract.max_delay_s
+                ? busy_horizon
+                : r.arrival_s + contract.max_delay_s;
+        const double bound =
+            backlog_free +
+            static_cast<double>(queued / contract.max_batch + 1) *
+                contract.max_batch_forward_s;
+        TimelineEvent bd;
+        bd.name = "bound req" + std::to_string(r.id);
+        bd.actor = server_actor;
+        bd.start_s = r.finish_s;
+        bd.end_s = r.finish_s;
+        bd.deadline_s = bound;
+        bd.hard_deadline = true;
+        const int bd_ev = g.add_event(std::move(bd));
+        g.add_edge(run_ev, bd_ev, "admission bound");
+      }
+    }
+  }
+  return g;
+}
+
+/// A time on a coarse grid, so ties are common, or one of the IEEE corner
+/// values the comparisons must treat exactly as the oracle does.
+double random_time(base::Rng& rng) {
+  switch (rng.uniform_int(0, 15)) {
+    case 0:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 1:
+      return 0.0;
+    case 2:
+      return -0.0;
+    case 3:
+      return std::numeric_limits<double>::infinity();
+    case 4:
+      return -std::numeric_limits<double>::infinity();
+    default:
+      return 0.5 * static_cast<double>(rng.uniform_int(-2, 12));
+  }
+}
+
+struct ServingRecords {
+  std::vector<serve::RequestRecord> requests;
+  std::vector<serve::BatchRecord> batches;
+  ServingContract contract;
+};
+
+/// Seeded adversarial records: unsorted, duplicate and negative request
+/// ids; batch ids that differ from their index or repeat; `batch` of -1 or
+/// past the end; NaN, ±0 and ±inf times; every contract switch.
+ServingRecords random_serving_records(std::uint64_t seed) {
+  base::Rng rng(seed);
+  ServingRecords c;
+  const int nb = static_cast<int>(rng.uniform_int(0, 8));
+  for (int b = 0; b < nb; ++b) {
+    serve::BatchRecord batch;
+    batch.id = rng.bernoulli(0.5) ? b
+                                  : static_cast<int>(rng.uniform_int(-1, nb));
+    batch.size = static_cast<int>(rng.uniform_int(0, 4));
+    batch.launch_s = random_time(rng);
+    batch.finish_s = random_time(rng);
+    c.batches.push_back(batch);
+  }
+  const int nr = static_cast<int>(rng.uniform_int(0, 40));
+  for (int i = 0; i < nr; ++i) {
+    serve::RequestRecord r;
+    r.id = rng.bernoulli(0.5) ? i : rng.uniform_int(-3, nr);
+    r.arrival_s = random_time(rng);
+    r.admitted = rng.bernoulli(0.85);
+    r.batch = static_cast<int>(rng.uniform_int(-1, nb + 1));
+    r.launch_s = random_time(rng);
+    r.finish_s = random_time(rng);
+    c.requests.push_back(r);
+  }
+  c.contract.admission = rng.bernoulli(0.85);
+  c.contract.slo_s = rng.bernoulli(0.2)
+                         ? -1.0
+                         : 0.5 * static_cast<double>(rng.uniform_int(0, 8));
+  c.contract.max_delay_s = 0.25 * static_cast<double>(rng.uniform_int(0, 4));
+  c.contract.max_batch = static_cast<int>(rng.uniform_int(0, 4));
+  c.contract.max_batch_forward_s =
+      0.5 * static_cast<double>(rng.uniform_int(0, 4));
+  return c;
+}
+
+TEST(ServingOracle, AdversarialRecordsMatchQuadraticExtractor) {
+  constexpr int kCases = 2500;
+  int duplicate_ids = 0, negative_ids = 0, foreign_batch_ids = 0;
+  int nan_arrivals = 0, no_admission = 0, no_slo = 0, no_bound = 0;
+  for (int k = 0; k < kCases; ++k) {
+    const ServingRecords c =
+        random_serving_records(0x5e7f1u + static_cast<std::uint64_t>(k));
+    const TimelineGraph fast = timeline_from_serving(
+        "oracle", c.requests, c.batches, c.contract);
+    const TimelineGraph slow = oracle_timeline_from_serving(
+        "oracle", c.requests, c.batches, c.contract);
+    ASSERT_TRUE(timeline_to_json(fast) == timeline_to_json(slow))
+        << "case " << k;
+
+    std::vector<std::int64_t> ids;
+    for (const serve::RequestRecord& r : c.requests) {
+      ids.push_back(r.id);
+      if (r.id < 0) ++negative_ids;
+      if (r.admitted && std::isnan(r.arrival_s)) ++nan_arrivals;
+    }
+    std::sort(ids.begin(), ids.end());
+    if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+      ++duplicate_ids;
+    }
+    for (std::size_t b = 0; b < c.batches.size(); ++b) {
+      if (c.batches[b].id != static_cast<int>(b)) ++foreign_batch_ids;
+    }
+    if (!c.contract.admission) ++no_admission;
+    if (c.contract.slo_s < 0.0) ++no_slo;
+    if (c.contract.max_batch == 0) ++no_bound;
+  }
+  // The generator really exercises every corner it promises.
+  EXPECT_GT(duplicate_ids, kCases / 4);
+  EXPECT_GT(negative_ids, kCases / 4);
+  EXPECT_GT(foreign_batch_ids, kCases / 4);
+  EXPECT_GT(nan_arrivals, kCases / 4);
+  EXPECT_GT(no_admission, kCases / 20);
+  EXPECT_GT(no_slo, kCases / 20);
+  EXPECT_GT(no_bound, kCases / 20);
+}
+
+struct LadderRung {
+  double load;  ///< offered rate in units of 1/f(1) (peak when bursty)
+  bool bursty;
+  double duration_f1;  ///< trace length in units of f(1)
+};
+
+/// The perfbench serve-ladder shape on a small engine: x0.5, x1, x2, x4
+/// (~16k offered requests) and a bursty x2 rung, with the ladder's SLO of
+/// 3 f(8) + f(1). Simulated once and shared by the tests below.
+struct SimulatedLadder {
+  ServingContract contract;
+  std::vector<serve::ServeResult> results;
+};
+
+const SimulatedLadder& simulated_ladder() {
+  static const SimulatedLadder ladder = [] {
+    const hw::CostModel cost;
+    serve::EngineOptions eopts;
+    eopts.max_batch = 8;
+    const serve::InferenceEngine engine(
+        cost, "alexnet-small",
+        [](int b) { return core::alexnet_bn(b, 10, 67, false); }, eopts);
+    const double f1 = engine.batch_time(1);
+    const double f8 = engine.batch_time(8);
+    serve::ServeOptions opts;
+    opts.batcher.max_batch = 8;
+    opts.batcher.max_delay_s = f1;
+    opts.admission.slo_s = 3.0 * f8 + f1;
+    SimulatedLadder out;
+    out.contract.slo_s = opts.admission.slo_s;
+    out.contract.max_delay_s = opts.batcher.max_delay_s;
+    out.contract.max_batch = opts.batcher.max_batch;
+    out.contract.max_batch_forward_s = f8;
+    const LadderRung rungs[] = {{0.5, false, 1000.0},
+                                {1.0, false, 1000.0},
+                                {2.0, false, 1000.0},
+                                {4.0, false, 4000.0},
+                                {2.0, true, 1000.0}};
+    std::uint64_t seed = 11;
+    for (const LadderRung& rung : rungs) {
+      serve::ArrivalSpec spec;
+      spec.kind = rung.bursty ? serve::ArrivalKind::kBursty
+                              : serve::ArrivalKind::kPoisson;
+      spec.rate = rung.load / f1;
+      spec.duration_s = rung.duration_f1 * f1;
+      spec.seed = seed++;
+      spec.burst_period_s = 100.0 * f1;
+      out.results.push_back(serve::simulate_serving(
+          engine, serve::generate_arrivals(spec), opts));
+    }
+    return out;
+  }();
+  return ladder;
+}
+
+TEST(ServingOracle, SimulatedLadderMatchesQuadraticExtractor) {
+  const SimulatedLadder& ladder = simulated_ladder();
+  ASSERT_EQ(ladder.results.size(), 5u);
+  for (std::size_t k = 0; k < ladder.results.size(); ++k) {
+    const serve::ServeResult& res = ladder.results[k];
+    EXPECT_GT(res.admitted, 0);
+    const TimelineGraph fast = timeline_from_serving(
+        "ladder", res.requests, res.batches, ladder.contract);
+    const TimelineGraph slow = oracle_timeline_from_serving(
+        "ladder", res.requests, res.batches, ladder.contract);
+    EXPECT_TRUE(timeline_to_json(fast) == timeline_to_json(slow))
+        << "rung " << k;
+  }
+}
+
+TEST(ServingOracle, LargeRungGraphIsBuiltWithoutRegrowth) {
+  // The x4 rung is the one whose superlinear extraction this pins down:
+  // its graph is reserved exactly once and verifies silent.
+  const serve::ServeResult& res = simulated_ladder().results[3];
+  ASSERT_GE(res.requests.size(), 15000u);
+  const TimelineGraph g = timeline_from_serving(
+      "ladder-x4", res.requests, res.batches, simulated_ladder().contract);
+  EXPECT_EQ(g.events.size(), g.events.capacity());
+  EXPECT_EQ(g.edges.size(), g.edges.capacity());
+  const Report report = verify_timeline(g);
+  EXPECT_TRUE(report.empty()) << report.summary();
 }
 
 }  // namespace
