@@ -21,7 +21,7 @@ using base::TablePrinter;
 using base::fmt;
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_allreduce", argc, argv);
+  bench::JsonBench json("bench_allreduce", bench::json_flag(argc, argv));
   const topo::NetParams net = topo::sunway_network();
 
   std::printf("=== Fig. 7: 8 nodes in 2 supernodes (q=4), message n ===\n");

@@ -35,7 +35,7 @@ std::string cell(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_conv_vgg", argc, argv);
+  bench::JsonBench json("bench_conv_vgg", bench::json_flag(argc, argv));
   const Row rows[] = {
       {"1_1", 3, 64, 224, -1, 4.19, -1, 1.10, 0, 0},
       {"1_2", 64, 64, 224, 4.30, 7.79, -1, 5.22, -1, 14.97},

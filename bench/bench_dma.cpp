@@ -17,7 +17,8 @@ using swcaffe::base::fmt;
 using swcaffe::hw::CostModel;
 
 int main(int argc, char** argv) {
-  swcaffe::bench::JsonBench json("bench_dma", argc, argv);
+  swcaffe::bench::JsonBench json("bench_dma",
+                                  swcaffe::bench::json_flag(argc, argv));
   CostModel cost;
   const std::vector<int> cpes = {1, 8, 16, 32, 64};
 

@@ -59,7 +59,7 @@ struct HostShape {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_gemm", argc, argv);
+  bench::JsonBench json("bench_gemm", bench::json_flag(argc, argv));
 
   std::printf("=== Host reference sgemm (C = op(A) op(B), beta = 0) ===\n");
   const HostShape shapes[] = {

@@ -15,7 +15,7 @@ using base::TablePrinter;
 using base::fmt;
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_io", argc, argv);
+  bench::JsonBench json("bench_io", bench::json_flag(argc, argv));
   io::DiskParams disk;  // 32 arrays x 2 GB/s, 256 MB stripes
   const std::int64_t batch_bytes = 192LL << 20;  // paper: ~192 MB / 256 images
   const std::int64_t file_bytes = 240LL << 30;   // ImageNet-scale dataset

@@ -1,6 +1,7 @@
 // Shared --json support for the custom-main benchmarks: each bench collects
-// its headline numbers as named metrics and, when invoked with
-// `--json <path>` (or `--json=<path>`), writes them as one JSON object
+// its headline numbers as named metrics and, given an output path (the
+// `--json <path>` a tool's command line carries), writes them as one JSON
+// object
 //
 //   {"bench": "<name>", "schema_version": N, "wall_clock_s": W,
 //    "metrics": {...}}
@@ -9,8 +10,8 @@
 // for checking into BENCH_*.json files or diffing across commits. The
 // schema_version field lets downstream tooling (CI gates, trend dashboards)
 // detect emitter-format changes instead of misparsing old files; bump
-// kBenchJsonSchemaVersion whenever the envelope shape changes. Without the
-// flag the helper is inert. Every bench, bench_gemm included, reports
+// kBenchJsonSchemaVersion whenever the envelope shape changes. With an empty
+// path the helper is inert. Every bench, bench_gemm included, reports
 // through it.
 #pragma once
 
@@ -18,11 +19,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "base/cli.h"
 
 namespace swcaffe::bench {
 
@@ -51,19 +53,25 @@ inline std::string metric_key(const std::string& label) {
   return out;
 }
 
+/// The `--json PATH` of a bench command line, read with the shared CLI
+/// parser; `extra` declares a bench's own flags. A usage error or --help
+/// ends the process here with the shared exit codes.
+inline std::string json_flag(int argc, char** argv,
+                             std::vector<base::cli::Flag> extra = {}) {
+  std::string path;
+  extra.push_back(base::cli::flag("--json", &path, "PATH", "write metrics"));
+  base::cli::Parser("usage: " + std::string(argv[0]) + " [flags]\n", extra)
+      .parse_or_exit(argc, argv);
+  return path;
+}
+
 class JsonBench {
  public:
-  JsonBench(std::string bench_name, int argc, char** argv)
+  /// Writes to `path` on destruction; an empty path writes nothing.
+  JsonBench(std::string bench_name, std::string path)
       : name_(std::move(bench_name)),
-        start_(std::chrono::steady_clock::now()) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--json=", 7) == 0) {
-        path_ = argv[i] + 7;
-      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-        path_ = argv[++i];
-      }
-    }
-  }
+        start_(std::chrono::steady_clock::now()),
+        path_(std::move(path)) {}
 
   JsonBench(const JsonBench&) = delete;
   JsonBench& operator=(const JsonBench&) = delete;
@@ -98,8 +106,6 @@ class JsonBench {
     out << "}}\n";
     std::printf("wrote %zu metrics to %s\n", metrics_.size(), path_.c_str());
   }
-
-  bool enabled() const { return !path_.empty(); }
 
   /// Records one metric; later values with the same name are kept as-is
   /// (the object is written in insertion order, duplicates included, which

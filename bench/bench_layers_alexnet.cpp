@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace swcaffe;
-  bench::JsonBench json("bench_layers_alexnet", argc, argv);
+  bench::JsonBench json("bench_layers_alexnet", bench::json_flag(argc, argv));
   std::printf("=== Fig. 8: AlexNet-BN per-layer times, batch 256 "
               "(SW column: one CG at batch 64) ===\n\n");
   const auto descs = fixtures::alexnet_per_cg_descs();

@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace swcaffe;
-  bench::JsonBench json("bench_layers_vgg", argc, argv);
+  bench::JsonBench json("bench_layers_vgg", bench::json_flag(argc, argv));
   std::printf("=== Fig. 9: VGG-16 per-layer times, batch 64 "
               "(SW column: one CG at batch 16) ===\n\n");
   const auto descs = fixtures::vgg_per_cg_descs(16);

@@ -19,7 +19,7 @@ using base::TablePrinter;
 using base::fmt;
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_lstm", argc, argv);
+  bench::JsonBench json("bench_lstm", bench::json_flag(argc, argv));
   hw::CostModel cost;
   const auto gpu = perfmodel::k40m();
   std::printf("=== LSTM layer: per-iteration time, batch 64 per core group "

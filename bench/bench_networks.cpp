@@ -29,7 +29,7 @@ struct NetCfg {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_networks", argc, argv);
+  bench::JsonBench json("bench_networks", bench::json_flag(argc, argv));
   std::printf("=== Table I: processor comparison ===\n");
   {
     TablePrinter t({"spec", "SW26010", "NVIDIA K40m", "Intel KNL"});

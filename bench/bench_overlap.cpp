@@ -78,15 +78,12 @@ int main(int argc, char** argv) {
   // the timing-only fast path plus the sampled slow path must stay well
   // under this even on a slow single-core CI runner.
   constexpr double kWallBudgetS = 30.0;
-  bench::JsonBench json("bench_overlap", argc, argv);
   std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    }
-  }
+  bench::JsonBench json(
+      "bench_overlap",
+      bench::json_flag(argc, argv,
+                       {base::cli::flag("--trace", &trace_path, "PATH",
+                                        "write a Chrome trace")}));
 
   hw::CostModel cost;
   const std::vector<int> nodes = {4, 16, 64, 256, 1024};

@@ -15,7 +15,7 @@ using base::TablePrinter;
 using base::fmt;
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_p2p_network", argc, argv);
+  bench::JsonBench json("bench_p2p_network", bench::json_flag(argc, argv));
   const topo::NetParams sw = topo::sunway_network();
   const topo::NetParams ib = topo::infiniband_fdr();
 

@@ -17,7 +17,7 @@ using base::TablePrinter;
 using base::fmt;
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_packing", argc, argv);
+  bench::JsonBench json("bench_packing", bench::json_flag(argc, argv));
   const topo::NetParams net = topo::sunway_network();
   struct Cfg {
     const char* name;

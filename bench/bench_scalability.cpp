@@ -56,7 +56,7 @@ bool same_point(const parallel::ScalePoint& a, const parallel::ScalePoint& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_scalability", argc, argv);
+  bench::JsonBench json("bench_scalability", bench::json_flag(argc, argv));
   const double wall0 = now_s();
   // The sweep wall-clock budget (seconds). Generous against CI-runner
   // jitter yet far below what even ONE functional 1024-replica point would

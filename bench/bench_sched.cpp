@@ -97,7 +97,7 @@ bool same_result(const sched::ScheduleResult& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_sched", argc, argv);
+  bench::JsonBench json("bench_sched", bench::json_flag(argc, argv));
   const hw::CostModel cost;
   const std::vector<sched::JobSpec> jobs = heavy_workload();
   std::printf("heavy trace: %zu jobs, 32 nodes, quantum 25 iters\n\n",

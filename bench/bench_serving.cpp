@@ -82,7 +82,7 @@ std::vector<Point> sweep(const serve::InferenceEngine& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_serving", argc, argv);
+  bench::JsonBench json("bench_serving", bench::json_flag(argc, argv));
   const hw::CostModel cost;
   bool gate_ok = true;
 

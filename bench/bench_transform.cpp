@@ -18,7 +18,7 @@ using base::TablePrinter;
 using base::fmt;
 
 int main(int argc, char** argv) {
-  bench::JsonBench json("bench_transform", argc, argv);
+  bench::JsonBench json("bench_transform", bench::json_flag(argc, argv));
   hw::CostModel cost;
   struct Cfg {
     const char* name;

@@ -9,16 +9,17 @@
 // Usage: conv_plan_explorer [batch in_c out_c image kernel stride pad]
 //        (defaults: 128 256 256 56 3 1 1, i.e. VGG-16 conv3_2)
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "base/cli.h"
 #include "base/units.h"
 #include "hw/cost_model.h"
 #include "swdnn/conv_plan.h"
 #include "tune/tuner.h"
 
 using namespace swcaffe;
+namespace cli = swcaffe::base::cli;
 
 namespace {
 
@@ -63,9 +64,7 @@ std::string describe_choice(const tune::DirectionChoice& d) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int explorer_main(int argc, char** argv) {
   core::ConvGeom g;
   g.batch = 128;
   g.in_c = 256;
@@ -74,19 +73,24 @@ int main(int argc, char** argv) {
   g.kernel = 3;
   g.stride = 1;
   g.pad = 1;
-  if (argc == 8) {
-    g.batch = std::atoi(argv[1]);
-    g.in_c = std::atoi(argv[2]);
-    g.out_c = std::atoi(argv[3]);
-    g.in_h = g.in_w = std::atoi(argv[4]);
-    g.kernel = std::atoi(argv[5]);
-    g.stride = std::atoi(argv[6]);
-    g.pad = std::atoi(argv[7]);
-  } else if (argc != 1) {
-    std::fprintf(stderr,
-                 "usage: %s [batch in_c out_c image kernel stride pad]\n",
-                 argv[0]);
-    return 1;
+  const std::vector<std::string> args =
+      cli::Parser("usage: conv_plan_explorer [batch in_c out_c image kernel "
+                  "stride pad]\n(default 128 256 256 56 3 1 1: VGG-16 "
+                  "conv3_2)\n",
+                  {}, 7)
+          .parse(argc, argv);
+  if (!args.empty()) {
+    if (args.size() != 7) throw cli::UsageError("expected 7 arguments");
+    g.batch = cli::parse_number<int>(args[0], 1, 1024, "batch");
+    g.in_c = cli::parse_number<int>(args[1], 1, 4096, "in_c");
+    g.out_c = cli::parse_number<int>(args[2], 1, 4096, "out_c");
+    g.in_h = g.in_w = cli::parse_number<int>(args[3], 1, 512, "image");
+    g.kernel = cli::parse_number<int>(args[4], 1, 16, "kernel");
+    g.stride = cli::parse_number<int>(args[5], 1, 16, "stride");
+    g.pad = cli::parse_number<int>(args[6], 0, 16, "pad");
+    if (g.in_h + 2 * g.pad < g.kernel) {
+      throw cli::UsageError("kernel larger than the padded image");
+    }
   }
 
   std::printf("conv: batch=%d %dx%dx%d -> %d channels, K=%d S=%d P=%d "
@@ -151,5 +155,9 @@ int main(int argc, char** argv) {
     std::printf("note: implicit backward needs >= 128 channels on both "
                 "sides (Table II dash pattern).\n");
   }
-  return 0;
+  return cli::kExitOk;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(argc, argv, explorer_main); }

@@ -16,16 +16,16 @@
 // prints one diagnostic table. `--timeline=<file.json>` verifies exported
 // graphs instead of live ones.
 //
-// Run with --help for flags and the exit-code contract.
+// Run with --help for flags and the exit codes.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "base/log.h"
+#include "base/cli.h"
 #include "check/timeline.h"
 #include "check/timeline_extract.h"
 #include "check/timeline_io.h"
@@ -45,78 +45,16 @@
 #include "topo/overlap.h"
 
 using namespace swcaffe;
+namespace cli = swcaffe::base::cli;
 
 namespace {
 
-// Exit-code contract (also printed by --help and documented in README.md):
-//   0  silent (per-plan mode: no errors — warnings allowed;
-//      timeline mode: no diagnostics at all)
-//   1  diagnostics found (per-plan mode: at least one error;
-//      timeline mode: any error or warning)
-//   2  usage error (unknown flag, missing value, ...)
-//   3  input could not be parsed (prototxt or timeline JSON)
-enum ExitCode {
-  kExitSilent = 0,
-  kExitDiagnostics = 1,
-  kExitUsage = 2,
-  kExitParseFailure = 3,
-};
-
-struct NamedConfig {
-  std::string label;
-  std::vector<core::LayerDesc> descs;
-};
-
-core::NetSpec resolve_model(const std::string& arg, int batch, int classes,
-                            int image) {
-  if (arg == "alexnet") return core::alexnet_bn(batch, classes, image);
-  if (arg == "alexnet-orig") {
-    return core::alexnet_original(batch, classes, image);
-  }
-  if (arg == "vgg16") return core::vgg(16, batch, classes, image);
-  if (arg == "vgg19") return core::vgg(19, batch, classes, image);
-  if (arg == "resnet50") return core::resnet50(batch, classes, image);
-  if (arg == "googlenet") return core::googlenet(batch, classes, image);
-  return core::load_net_prototxt(arg);
-}
-
-/// Inference-geometry model factory for the serving timelines (forward
-/// only, no loss layer); empty for prototxt paths, which skip the serving
-/// sweep.
-serve::ModelFn serving_model(const std::string& name) {
-  if (name == "alexnet" || name == "alexnet-orig") {
-    return [](int b) { return core::alexnet_bn(b, 1000, 227, false); };
-  }
-  if (name == "vgg16") {
-    return [](int b) { return core::vgg(16, b, 1000, 224, false); };
-  }
-  if (name == "vgg19") {
-    return [](int b) { return core::vgg(19, b, 1000, 224, false); };
-  }
-  if (name == "resnet50") {
-    return [](int b) { return core::resnet50(b, 1000, 224, false); };
-  }
-  if (name == "googlenet") {
-    return [](int b) { return core::googlenet(b, 1000, 224, false); };
-  }
-  return {};
-}
-
-/// The paper's evaluated configurations (Sec. VI / Tables II-III): the
-/// acceptance bar is zero errors on every one of them.
-std::vector<NamedConfig> paper_configs() {
-  std::vector<NamedConfig> configs;
-  configs.push_back({"alexnet-bn batch 256 @227",
-                     core::describe_net_spec(core::alexnet_bn(256, 1000, 227))});
-  configs.push_back({"alexnet-bn batch 128 @227",
-                     core::describe_net_spec(core::alexnet_bn(128, 1000, 227))});
-  configs.push_back({"vgg16 batch 128 @224",
-                     core::describe_net_spec(core::vgg(16, 128, 1000, 224))});
-  configs.push_back({"vgg16 batch 32 @224",
-                     core::describe_net_spec(core::vgg(16, 32, 1000, 224))});
-  configs.push_back({"vgg19 batch 128 @224",
-                     core::describe_net_spec(core::vgg(19, 128, 1000, 224))});
-  return configs;
+/// The zoo net or prototxt `model`; an unreadable prototxt exits 3.
+core::NetSpec load_model(const std::string& model, int batch, int classes,
+                         int image) {
+  const std::optional<core::NetSpec> zoo =
+      core::zoo_model(model, batch, classes, image);
+  return zoo ? *zoo : cli::read_input(model, core::load_net_prototxt);
 }
 
 void print_codes() {
@@ -164,54 +102,6 @@ void print_codes() {
   for (std::size_t i = 0; i < std::size(kAll); ++i) {
     std::printf("%-22s %s\n", check::code_name(kAll[i]), kDesc[i]);
   }
-}
-
-void print_help() {
-  std::printf(
-      "swcaffe_check: static plan and timeline verifier\n"
-      "\n"
-      "usage:\n"
-      "  swcaffe_check [--model M] [--batch B] [--classes C] [--image R]\n"
-      "                [--nodes N] [--pedantic] [--quiet]\n"
-      "  swcaffe_check --paper                 # all paper-scale configs\n"
-      "  swcaffe_check --list-codes            # diagnostic code reference\n"
-      "  swcaffe_check <net.prototxt>          # lint a prototxt model\n"
-      "  swcaffe_check --timeline [...]        # swsched: build + verify the\n"
-      "                                        # model's live schedules\n"
-      "  swcaffe_check --timeline=<file.json>  # verify exported graphs\n"
-      "  swcaffe_check --timeline --export-timeline out.json\n"
-      "                                        # also write the graphs as JSON\n"
-      "\n"
-      "models: alexnet | alexnet-orig | vgg16 | vgg19 | resnet50 | googlenet\n"
-      "        or a prototxt path\n"
-      "\n"
-      "exit codes:\n"
-      "  0  silent (plan mode: no errors, warnings allowed;\n"
-      "     timeline mode: no diagnostics at all)\n"
-      "  1  diagnostics found (plan mode: >= 1 error;\n"
-      "     timeline mode: any error or warning)\n"
-      "  2  usage error\n"
-      "  3  input could not be parsed (prototxt or timeline JSON)\n");
-}
-
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(kExitUsage);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
 }
 
 /// Builds the live swsched graphs of one model: overlapped all-reduce at
@@ -289,7 +179,7 @@ std::vector<check::TimelineGraph> build_live_timelines(
   // rate (zoo models only — a prototxt has no inference factory). The short
   // Poisson runs exercise admission, queueing and batch coalescing; their
   // timelines re-derive the SLO admission bound from the records.
-  if (serve::ModelFn fn = serving_model(model)) {
+  if (serve::ModelFn fn = core::zoo_inference(model)) {
     serve::EngineOptions eopts;
     eopts.max_batch = 8;
     serve::InferenceEngine engine(cost, model, std::move(fn), eopts);
@@ -363,7 +253,7 @@ int run_timeline_mode(const std::vector<check::TimelineGraph>& graphs,
     std::ofstream out(export_path);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", export_path.c_str());
-      return kExitUsage;
+      return cli::kExitUsage;
     }
     out << check::timelines_to_json(graphs);
   }
@@ -383,12 +273,10 @@ int run_timeline_mode(const std::vector<check::TimelineGraph>& graphs,
   }
   std::printf("total: %d error(s), %d warning(s) across %zu timeline(s)\n",
               errors, warnings, graphs.size());
-  return errors + warnings > 0 ? kExitDiagnostics : kExitSilent;
+  return errors + warnings > 0 ? cli::kExitVerdict : cli::kExitOk;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int check_main(int argc, char** argv) {
   std::string model = "alexnet";
   int batch = 256;
   int classes = 1000;
@@ -397,52 +285,41 @@ int main(int argc, char** argv) {
   bool paper = false;
   bool pedantic = false;
   bool quiet = false;
+  bool list_codes = false;
   bool timeline = false;
   std::string timeline_file;
   std::string export_path;
-
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (flag_value(argc, argv, i, "--model", v)) {
-      model = v;
-    } else if (flag_value(argc, argv, i, "--batch", v)) {
-      batch = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--classes", v)) {
-      classes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--image", v)) {
-      image = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--nodes", v)) {
-      nodes = std::atoi(v.c_str());
-    } else if (std::strcmp(argv[i], "--timeline") == 0) {
-      timeline = true;
-    } else if (flag_value(argc, argv, i, "--timeline", v)) {
-      timeline = true;
-      timeline_file = v;
-    } else if (flag_value(argc, argv, i, "--export-timeline", v)) {
-      export_path = v;
-    } else if (std::strcmp(argv[i], "--paper") == 0) {
-      paper = true;
-    } else if (std::strcmp(argv[i], "--pedantic") == 0) {
-      pedantic = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else if (std::strcmp(argv[i], "--list-codes") == 0) {
-      print_codes();
-      return kExitSilent;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      print_help();
-      return kExitSilent;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown flag %s (see --help)\n", argv[i]);
-      return kExitUsage;
-    } else if (positional++ == 0) {
-      model = argv[i];
-    } else {
-      std::fprintf(stderr, "too many positional arguments\n");
-      return kExitUsage;
-    }
+  cli::Parser parser(
+      "usage: swcaffe_check [flags] [model]   # lint one model's plans\n"
+      "       swcaffe_check --paper           # all paper-scale configs\n"
+      "       swcaffe_check --timeline [...]  # build + verify live schedules\n"
+      "       swcaffe_check --timeline=FILE   # verify exported graphs\n"
+      "\n"
+      "swcheck plan and swsched timeline verifier for a zoo model (alexnet,\n"
+      "alexnet-orig, vgg16, vgg19, resnet50, googlenet) or a prototxt. The\n"
+      "verdict (exit 1): plan mode fails on any error, timeline mode on any\n"
+      "error or warning.\n",
+      {cli::flag("--model", &model, "M", "zoo name or net prototxt"),
+       cli::flag("--batch", &batch, 1, 1024, "batch size"),
+       cli::flag("--classes", &classes, 1, 100000, "classifier width"),
+       cli::flag("--image", &image, 1, 1024, "input side in pixels"),
+       cli::flag("--nodes", &nodes, 0, 2048,
+                 "also lint rhd/ring all-reduce on N nodes (0: off; 16 in "
+                 "timeline mode)"),
+       cli::toggle("--paper", &paper, "check every paper configuration"),
+       cli::toggle("--pedantic", &pedantic, "also report pedantic codes"),
+       cli::toggle("--quiet", &quiet, "print summaries only"),
+       cli::toggle("--list-codes", &list_codes, "print the code table"),
+       cli::optional("--timeline", &timeline, &timeline_file, "FILE",
+                     "verify live schedules, or exported FILE"),
+       cli::flag("--export-timeline", &export_path, "FILE",
+                 "also write the timeline graphs as JSON")},
+      1);
+  const std::vector<std::string> positional = parser.parse(argc, argv);
+  if (!positional.empty()) model = positional[0];
+  if (list_codes) {
+    print_codes();
+    return cli::kExitOk;
   }
 
   check::Options opts;
@@ -452,17 +329,13 @@ int main(int argc, char** argv) {
   // --- Timeline mode: exported graphs from a JSON file ----------------------
   if (timeline && !timeline_file.empty()) {
     std::ifstream in(timeline_file);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", timeline_file.c_str());
-      return kExitParseFailure;
-    }
+    if (!in) throw cli::InputError("cannot read " + timeline_file);
     std::ostringstream buf;
     buf << in.rdbuf();
     std::vector<check::TimelineGraph> graphs;
     std::string error;
     if (!check::timelines_from_json(buf.str(), &graphs, &error)) {
-      std::fprintf(stderr, "%s: %s\n", timeline_file.c_str(), error.c_str());
-      return kExitParseFailure;
+      throw cli::InputError(timeline_file + ": " + error);
     }
     return run_timeline_mode(graphs, opts, quiet, export_path);
   }
@@ -478,16 +351,8 @@ int main(int argc, char** argv) {
     }
     std::vector<check::TimelineGraph> graphs;
     for (const std::string& m : models) {
-      core::NetSpec spec;
-      try {
-        spec = resolve_model(m, batch, classes, image);
-      } catch (const base::CheckError& e) {
-        std::fprintf(stderr, "cannot parse model %s: %s\n", m.c_str(),
-                     e.what());
-        return kExitParseFailure;
-      }
-      const std::vector<check::TimelineGraph> g =
-          build_live_timelines(cost, m, spec, batch, eff_nodes);
+      const std::vector<check::TimelineGraph> g = build_live_timelines(
+          cost, m, load_model(m, batch, classes, image), batch, eff_nodes);
       graphs.insert(graphs.end(), g.begin(), g.end());
     }
     {
@@ -499,25 +364,18 @@ int main(int argc, char** argv) {
   }
 
   // --- Per-plan mode ---------------------------------------------------------
-  std::vector<NamedConfig> configs;
+  std::vector<core::NamedNet> configs;
   if (paper) {
-    configs = paper_configs();
+    configs = core::paper_configs();
   } else {
-    core::NetSpec spec;
-    try {
-      spec = resolve_model(model, batch, classes, image);
-    } catch (const base::CheckError& e) {
-      std::fprintf(stderr, "cannot parse model %s: %s\n", model.c_str(),
-                   e.what());
-      return kExitParseFailure;
-    }
+    const core::NetSpec spec = load_model(model, batch, classes, image);
     configs.push_back({spec.name + " batch " + std::to_string(batch) + " @" +
                            std::to_string(image),
                        core::describe_net_spec(spec)});
   }
 
   int errors = 0, warnings = 0;
-  for (const NamedConfig& config : configs) {
+  for (const core::NamedNet& config : configs) {
     check::Report report = check::verify_net(cost, config.descs, opts);
     if (nodes > 0) {
       report.merge(check::verify_allreduce("rhd", nodes, opts));
@@ -532,5 +390,9 @@ int main(int argc, char** argv) {
   if (configs.size() > 1) {
     std::printf("total: %d error(s), %d warning(s)\n", errors, warnings);
   }
-  return errors > 0 ? kExitDiagnostics : kExitSilent;
+  return errors > 0 ? cli::kExitVerdict : cli::kExitOk;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(argc, argv, check_main); }

@@ -1,15 +1,10 @@
 // swcaffe_sched: multi-tenant cluster scheduler simulator — gang
 // scheduling, preemption and elastic training over the cost model.
 //
-// Usage:
-//   swcaffe_sched [--policy fifo|priority|fair] [--nodes N] [--supernode Q]
-//                 [--arrival poisson|bursty] [--rate R] [--duration S]
-//                 [--seed N] [--tenants T] [--quantum I] [--no-elastic]
-//                 [--verify] [--export-timeline FILE] [--json OUT]
-//
-// An open-loop stream of heterogeneous training jobs (model zoo x batch x
-// requested gang width, R jobs/s for S simulated seconds) is admitted onto
-// a simulated TaihuLight partition of N nodes under the chosen policy.
+// Run with --help for the flags and the exit codes. An open-loop stream of
+// heterogeneous training jobs (model zoo x batch x requested gang width,
+// R jobs/s for S simulated seconds) is admitted onto a simulated TaihuLight
+// partition of N nodes under the chosen policy.
 // Preempted jobs checkpoint and later resume by crash-rewind-replay;
 // elastic jobs shrink/grow between quanta. Everything runs on simulated
 // time: same flags + seed => bit-identical schedule and output.
@@ -18,20 +13,14 @@
 // node, gang tags per dispatch) and judges it with the swsched analyzer —
 // the same graphs `swcaffe_check --timeline` audits; --export-timeline
 // writes them as JSON for `swcaffe_check --timeline=<file>`.
-//
-// Exit codes:
-//   0  simulation ran (and, with --verify, the timeline is silent)
-//   1  --verify found diagnostics in the schedule timeline
-//   2  bad usage / unknown flag
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "../bench/bench_json.h"
-#include "base/log.h"
+#include "base/cli.h"
 #include "base/table.h"
 #include "base/units.h"
 #include "check/timeline.h"
@@ -44,111 +33,62 @@
 #include "serve/arrival.h"
 
 using namespace swcaffe;
+namespace cli = swcaffe::base::cli;
 using base::TablePrinter;
 using base::fmt;
 
 namespace {
 
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string policy = "fifo";
-  std::string arrival = "poisson";
-  int nodes = 64;
-  int supernode = 16;
-  double rate = 1.0;
-  double duration_s = 60.0;
-  std::uint64_t seed = 1;
-  int tenants = 3;
-  std::int64_t quantum = 25;
-  bool elastic = true;
-  bool verify = false;
-  std::string export_path;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (flag_value(argc, argv, i, "--policy", v)) {
-      policy = v;
-    } else if (flag_value(argc, argv, i, "--arrival", v)) {
-      arrival = v;
-    } else if (flag_value(argc, argv, i, "--nodes", v)) {
-      nodes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--supernode", v)) {
-      supernode = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--rate", v)) {
-      rate = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--duration", v)) {
-      duration_s = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--seed", v)) {
-      seed = static_cast<std::uint64_t>(std::atoll(v.c_str()));
-    } else if (flag_value(argc, argv, i, "--tenants", v)) {
-      tenants = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--quantum", v)) {
-      quantum = std::atoll(v.c_str());
-    } else if (flag_value(argc, argv, i, "--export-timeline", v)) {
-      export_path = v;
-    } else if (flag_value(argc, argv, i, "--json", v)) {
-      // Value re-parsed by JsonBench; consumed here so it isn't positional.
-    } else if (std::strcmp(argv[i], "--no-elastic") == 0) {
-      elastic = false;
-    } else if (std::strcmp(argv[i], "--verify") == 0) {
-      verify = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
-
-  bench::JsonBench json("swcaffe_sched", argc, argv);
-  const hw::CostModel cost;
-
+int sched_main(int argc, char** argv) {
+  // Flags land in the option structs; their defaults are the CLI's except
+  // for the arrival window.
   sched::WorkloadSpec wspec;
   sched::SchedOptions sopts;
-  // Bad names are usage errors (exit 2), not aborts.
-  try {
-    wspec.arrivals.kind = serve::parse_arrival_kind(arrival);
-    sopts.policy = sched::parse_policy(policy);
-  } catch (const base::CheckError& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-  wspec.arrivals.rate = rate;
-  wspec.arrivals.duration_s = duration_s;
-  wspec.arrivals.seed = seed;
-  wspec.seed = seed;
-  wspec.tenants = tenants;
-  wspec.elastic = elastic;
+  serve::ArrivalSpec& arrivals = wspec.arrivals;
+  arrivals.rate = 1.0;
+  arrivals.duration_s = 60.0;
+  bool no_elastic = false;
+  bool verify = false;
+  std::string export_path;
+  std::string json_path;
+  cli::Parser(
+      "usage: swcaffe_sched [flags]\n"
+      "\n"
+      "Multi-tenant cluster scheduler simulator: gang scheduling, preemption\n"
+      "and elastic training of an open-loop job stream. The verdict (exit\n"
+      "1): --verify found diagnostics in the schedule timeline.\n",
+      {cli::choice("--policy", &sopts.policy, sched::parse_policy,
+                   "fifo|priority|fair", "scheduling policy (default fifo)"),
+       cli::flag("--nodes", &sopts.cluster_nodes, 1, cli::kMaxNodes,
+                 "cluster nodes"),
+       cli::flag("--supernode", &sopts.supernode_size, 1, 256,
+                 "nodes per supernode"),
+       cli::choice("--arrival", &arrivals.kind, serve::parse_arrival_kind,
+                   "poisson|bursty", "arrival model (default poisson)"),
+       cli::flag("--rate", &arrivals.rate, 0.0, 1000.0, "jobs per s", true),
+       cli::flag("--duration", &arrivals.duration_s, 0.0, 1e6,
+                 "arrival window, s", true),
+       cli::flag("--seed", &wspec.seed, "workload seed"),
+       cli::flag("--tenants", &wspec.tenants, 1, 64, "tenants"),
+       cli::flag("--quantum", &sopts.quantum_iters, 1, 1000000,
+                 "scheduling quantum, iterations"),
+       cli::toggle("--no-elastic", &no_elastic, "disable elastic resizing"),
+       cli::toggle("--verify", &verify, "verify the schedule timeline"),
+       cli::flag("--export-timeline", &export_path, "FILE",
+                 "write the schedule timeline as JSON"),
+       cli::flag("--json", &json_path, "PATH", "write headline numbers")})
+      .parse(argc, argv);
+  arrivals.seed = wspec.seed;
+  wspec.elastic = sopts.elastic = !no_elastic;
+  bench::JsonBench json("swcaffe_sched", json_path);
+  const hw::CostModel cost;
+
   const std::vector<sched::JobSpec> jobs = sched::generate_workload(wspec);
   if (jobs.empty()) {
-    std::fprintf(stderr, "no jobs arrived (rate %.3f over %.1fs)\n", rate,
-                 duration_s);
-    return 2;
+    throw cli::UsageError("no jobs arrived (rate " + fmt(arrivals.rate, 3) +
+                          " over " + fmt(arrivals.duration_s, 1) + "s)");
   }
-
-  sopts.cluster_nodes = nodes;
-  sopts.supernode_size = supernode;
-  sopts.quantum_iters = quantum;
-  sopts.elastic = elastic;
+  const int nodes = sopts.cluster_nodes;
   const sched::ScheduleResult res =
       sched::simulate_schedule(cost, jobs, sopts);
   const sched::SchedMetrics& m = res.metrics;
@@ -156,7 +96,7 @@ int main(int argc, char** argv) {
   std::printf("=== %s schedule: %zu jobs on %d nodes (%s arrivals, %.2f "
               "jobs/s) ===\n",
               sched::policy_name(sopts.policy), jobs.size(), nodes,
-              arrival.c_str(), rate);
+              serve::arrival_kind_name(arrivals.kind), arrivals.rate);
   {
     TablePrinter t(
         {"job", "tenant", "width", "iters", "wait", "makespan", "pre", "rsz"});
@@ -211,7 +151,7 @@ int main(int argc, char** argv) {
       std::ofstream out(export_path);
       if (!out) {
         std::fprintf(stderr, "cannot write %s\n", export_path.c_str());
-        return 2;
+        return cli::kExitUsage;
       }
       out << check::timelines_to_json({graph});
       std::printf("wrote timeline (%zu events) to %s\n", graph.events.size(),
@@ -224,9 +164,13 @@ int main(int argc, char** argv) {
                   report.warning_count());
       if (!report.empty()) {
         report.print(std::cout);
-        return 1;
+        return cli::kExitVerdict;
       }
     }
   }
-  return 0;
+  return cli::kExitOk;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(argc, argv, sched_main); }

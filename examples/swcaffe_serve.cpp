@@ -1,17 +1,11 @@
 // swcaffe_serve: inference serving simulator — dynamic batching and SLO
 // admission control over the cost model.
 //
-// Usage:
-//   swcaffe_serve [--net alexnet|vgg16|vgg19|resnet50|googlenet]
-//                 [--rate R] [--duration S] [--arrival poisson|bursty]
-//                 [--seed N] [--max-batch B] [--max-delay MS] [--slo MS]
-//                 [--no-admission] [--tune] [--plan-cache FILE]
-//                 [--trace out.json] [--json OUT]
-//
-// An open-loop arrival stream (R req/s for S simulated seconds) feeds one
-// server that coalesces requests into batches of up to --max-batch, holding
-// the oldest request at most --max-delay ms; requests whose conservative
-// completion bound misses the --slo deadline are rejected at arrival.
+// Run with --help for the flags. An open-loop arrival stream (R req/s for S
+// simulated seconds) feeds one server that coalesces requests into batches
+// of up to --max-batch, holding the oldest request at most --max-delay ms;
+// requests whose conservative completion bound misses the --slo deadline
+// are rejected at arrival.
 // Forward passes are priced by the calibrated SW26010 cost model; --tune
 // selects swtune plans per batch size (persisted via --plan-cache, shared
 // with swcaffe_time/swcaffe_tune). --trace writes a Chrome trace with the
@@ -19,11 +13,11 @@
 // intervals; --json writes the headline numbers as a bench_json object.
 // Everything runs on simulated time: same flags + seed => identical output.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "../bench/bench_json.h"
+#include "base/cli.h"
 #include "base/table.h"
 #include "base/units.h"
 #include "core/models.h"
@@ -35,125 +29,68 @@
 #include "trace/tracer.h"
 
 using namespace swcaffe;
+namespace cli = swcaffe::base::cli;
 using base::TablePrinter;
 using base::fmt;
 
 namespace {
 
-serve::ModelFn resolve_model(const std::string& name) {
-  // Inference geometry: full ImageNet shapes, no loss layer. Pricing is
-  // pure shape inference, so paper-scale resolutions cost nothing here.
-  if (name == "alexnet") {
-    return [](int b) { return core::alexnet_bn(b, 1000, 227, false); };
-  }
-  if (name == "vgg16") {
-    return [](int b) { return core::vgg(16, b, 1000, 224, false); };
-  }
-  if (name == "vgg19") {
-    return [](int b) { return core::vgg(19, b, 1000, 224, false); };
-  }
-  if (name == "resnet50") {
-    return [](int b) { return core::resnet50(b, 1000, 224, false); };
-  }
-  if (name == "googlenet") {
-    return [](int b) { return core::googlenet(b, 1000, 224, false); };
-  }
-  std::fprintf(stderr, "unknown net: %s\n", name.c_str());
-  std::exit(2);
-}
-
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int serve_main(int argc, char** argv) {
+  // Flags land in the option structs, whose defaults are the CLI's.
+  serve::ArrivalSpec aspec;
+  serve::EngineOptions eng_opts;
   std::string net = "alexnet";
-  std::string arrival = "poisson";
-  double rate = 100.0;
-  double duration_s = 1.0;
-  std::uint64_t seed = 1;
-  int max_batch = 8;
   double max_delay_ms = 2.0;
   double slo_ms = 50.0;
-  bool admission = true;
-  bool tune = false;
-  std::string plan_cache;
+  bool no_admission = false;
   std::string trace_path;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (flag_value(argc, argv, i, "--net", v)) {
-      net = v;
-    } else if (flag_value(argc, argv, i, "--arrival", v)) {
-      arrival = v;
-    } else if (flag_value(argc, argv, i, "--rate", v)) {
-      rate = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--duration", v)) {
-      duration_s = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--seed", v)) {
-      seed = static_cast<std::uint64_t>(std::atoll(v.c_str()));
-    } else if (flag_value(argc, argv, i, "--max-batch", v)) {
-      max_batch = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--max-delay", v)) {
-      max_delay_ms = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--slo", v)) {
-      slo_ms = std::atof(v.c_str());
-    } else if (flag_value(argc, argv, i, "--plan-cache", v)) {
-      plan_cache = v;
-    } else if (flag_value(argc, argv, i, "--trace", v)) {
-      trace_path = v;
-    } else if (flag_value(argc, argv, i, "--json", v)) {
-      // Value re-parsed by JsonBench; consumed here so it isn't positional.
-    } else if (std::strcmp(argv[i], "--no-admission") == 0) {
-      admission = false;
-    } else if (std::strcmp(argv[i], "--tune") == 0) {
-      tune = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
-
-  bench::JsonBench json("swcaffe_serve", argc, argv);
+  std::string json_path;
+  cli::Parser(
+      "usage: swcaffe_serve [flags]\n"
+      "\n"
+      "Inference serving simulator: dynamic batching and SLO admission of an\n"
+      "open-loop request stream. The verdict (exit 1): an admitted request\n"
+      "missed the SLO, or the plan cache could not be saved.\n",
+      {cli::flag("--net", &net, "M", "zoo name (alexnet, vgg16, ...)"),
+       cli::flag("--rate", &aspec.rate, 0.0, 1e5, "requests per s", true),
+       cli::flag("--duration", &aspec.duration_s, 0.0, 3600.0,
+                 "arrival window, s", true),
+       cli::choice("--arrival", &aspec.kind, serve::parse_arrival_kind,
+                   "poisson|bursty", "arrival model (default poisson)"),
+       cli::flag("--seed", &aspec.seed, "arrival seed"),
+       cli::flag("--max-batch", &eng_opts.max_batch, 1, 256, "largest batch"),
+       cli::flag("--max-delay", &max_delay_ms, 0.0, 1e6, "batching delay, ms"),
+       cli::flag("--slo", &slo_ms, 0.0, 1e6, "admission deadline, ms", true),
+       cli::toggle("--no-admission", &no_admission, "admit every request"),
+       cli::toggle("--tune", &eng_opts.tune, "swtune plans per batch size"),
+       cli::flag("--plan-cache", &eng_opts.plan_cache, "FILE",
+                 "persist tuned plans"),
+       cli::flag("--trace", &trace_path, "FILE", "write a Chrome trace"),
+       cli::flag("--json", &json_path, "PATH", "write headline numbers")})
+      .parse(argc, argv);
+  serve::ModelFn model = core::zoo_inference(net);
+  if (!model) throw cli::UsageError("unknown net: " + net);
+  bench::JsonBench json("swcaffe_serve", json_path);
   trace::Tracer tracer;
   const hw::CostModel cost;
 
-  serve::EngineOptions eng_opts;
-  eng_opts.max_batch = max_batch;
-  eng_opts.tune = tune;
-  eng_opts.plan_cache = plan_cache;
+  const bool admission = !no_admission;
   eng_opts.tracer = trace_path.empty() ? nullptr : &tracer;
   eng_opts.trace_track = 3;  // serving uses tracks 0..2
-  serve::InferenceEngine engine(cost, net, resolve_model(net), eng_opts);
+  // Inference geometry: full ImageNet shapes, no loss layer. Pricing is
+  // pure shape inference, so paper-scale resolutions cost nothing here.
+  serve::InferenceEngine engine(cost, net, std::move(model), eng_opts);
 
   std::printf("=== %s forward pricing (batch table) ===\n", net.c_str());
   {
     TablePrinter t({"batch", "forward", "per-request", "img/s"});
-    for (int b = 1; b <= max_batch; ++b) {
+    for (int b = 1; b <= eng_opts.max_batch; ++b) {
       const double f = engine.batch_time(b);
       t.add_row({std::to_string(b), base::format_seconds(f),
                  base::format_seconds(f / b), fmt(b / f, 1)});
     }
     t.print(std::cout);
-    if (tune) {
+    if (eng_opts.tune) {
       const serve::EngineStats& s = engine.stats();
       std::printf("tuned %d conv searches (%d cache hits, %d plans "
                   "verified)\n",
@@ -161,15 +98,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  serve::ArrivalSpec aspec;
-  aspec.kind = serve::parse_arrival_kind(arrival);
-  aspec.rate = rate;
-  aspec.duration_s = duration_s;
-  aspec.seed = seed;
   const std::vector<double> arrivals = serve::generate_arrivals(aspec);
 
   serve::ServeOptions sopts;
-  sopts.batcher.max_batch = max_batch;
+  sopts.batcher.max_batch = eng_opts.max_batch;
   sopts.batcher.max_delay_s = max_delay_ms * 1e-3;
   sopts.admission.enabled = admission;
   sopts.admission.slo_s = slo_ms * 1e-3;
@@ -178,7 +110,8 @@ int main(int argc, char** argv) {
       serve::simulate_serving(engine, arrivals, sopts);
 
   std::printf("\n=== serving %s: %s arrivals at %.1f req/s for %.2fs ===\n",
-              net.c_str(), arrival.c_str(), rate, duration_s);
+              net.c_str(), serve::arrival_kind_name(aspec.kind), aspec.rate,
+              aspec.duration_s);
   {
     TablePrinter t({"metric", "value"});
     t.add_row({"offered", std::to_string(res.offered)});
@@ -203,7 +136,7 @@ int main(int argc, char** argv) {
     if (res.latency.max_s > sopts.admission.slo_s) {
       std::fprintf(stderr, "FAIL: admitted max latency %.6fs exceeds SLO\n",
                    res.latency.max_s);
-      return 1;
+      return cli::kExitVerdict;
     }
   }
 
@@ -221,13 +154,17 @@ int main(int argc, char** argv) {
     trace::save_chrome_trace(tracer, trace_path);
     std::printf("wrote trace to %s\n", trace_path.c_str());
   }
-  if (tune && !plan_cache.empty()) {
+  if (eng_opts.tune && !eng_opts.plan_cache.empty()) {
     std::string error;
     if (!engine.save_cache(&error)) {
       std::fprintf(stderr, "plan-cache save failed: %s\n", error.c_str());
-      return 1;
+      return cli::kExitVerdict;
     }
-    std::printf("saved plan cache to %s\n", plan_cache.c_str());
+    std::printf("saved plan cache to %s\n", eng_opts.plan_cache.c_str());
   }
-  return 0;
+  return cli::kExitOk;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(argc, argv, serve_main); }

@@ -1,15 +1,8 @@
 // swcaffe_time: the equivalent of `caffe time` — per-layer forward/backward
 // timing for a model, reporting both the functional host wall-clock and the
 // simulated SW26010 core-group time the cost model assigns to each layer.
-//
-// Usage:
-//   swcaffe_time [--model M] [--iterations N] [--batch B]
-//                [--tune] [--plan-cache FILE] [--json OUT]
-//                [--threads N] [--replicas R]
-//                [--nodes N] [--algo=ALGO] [--compress=none|fp16|int8]
-//                [--sweep] [--trace=out.json] [--trace-report]
-//   swcaffe_time <net.prototxt | alexnet | vgg16 | vgg19 | resnet50 |
-//                 googlenet> [iterations] [batch]        (legacy positional)
+// Run with --help for the flags; the legacy positional form
+// `swcaffe_time <model> [iterations] [batch]` also works.
 //
 // --tune runs the swtune plan search over every convolution, switches the
 // functional net onto the tuned strategies and adds tuned per-layer columns
@@ -28,10 +21,9 @@
 // distributed trainer uses, measured in isolation.
 //
 // --nodes N adds a communication section: the model's packed gradient
-// message is priced across N nodes with the configured all-reduce (--algo:
-// rhd-round-robin [default], rhd-adjacent, hierarchical, ring, param-server)
-// and gradient codec (--compress: none [default], fp16, int8), reporting
-// wire bytes and the simulated collective time next to the compute time.
+// message is priced across N nodes with the configured all-reduce (--algo)
+// and gradient codec (--compress), reporting wire bytes and the simulated
+// collective time next to the compute time.
 //
 // --sweep runs the swsim timing-only scalability sweep: the model's
 // Fig. 10/11 curve (serial + overlapped series, 8 buckets) priced at node
@@ -41,11 +33,12 @@
 // own wall clock.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "../bench/bench_json.h"
+#include "base/cli.h"
 #include "base/table.h"
 #include "base/units.h"
 #include "check/rules.h"
@@ -63,6 +56,7 @@
 #include "tune/tuner.h"
 
 using namespace swcaffe;
+namespace cli = swcaffe::base::cli;
 
 namespace {
 
@@ -72,38 +66,7 @@ double now_s() {
       .count();
 }
 
-core::NetSpec resolve_model(const std::string& arg, int batch) {
-  if (arg == "alexnet") return core::alexnet_bn(batch, 10, 67);
-  if (arg == "vgg16") return core::vgg(16, batch, 10, 32);
-  if (arg == "vgg19") return core::vgg(19, batch, 10, 32);
-  if (arg == "resnet50") return core::resnet50(batch, 10, 64);
-  if (arg == "googlenet") return core::googlenet(batch, 10, 64);
-  return core::load_net_prototxt(arg);
-}
-
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int time_main(int argc, char** argv) {
   std::string model = "alexnet";
   int iterations = 3;
   int batch = 2;
@@ -111,6 +74,7 @@ int main(int argc, char** argv) {
   bool trace_report = false;
   bool tune = false;
   std::string plan_cache;
+  std::string json_path;
   int threads = 1;
   int replicas = 8;
   int nodes = 0;
@@ -118,70 +82,45 @@ int main(int argc, char** argv) {
   parallel::AllreduceAlgo algo = parallel::AllreduceAlgo::kRhdRoundRobin;
   topo::Compression compress = topo::Compression::kNone;
 
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (flag_value(argc, argv, i, "--model", v)) {
-      model = v;
-    } else if (flag_value(argc, argv, i, "--iterations", v)) {
-      iterations = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--batch", v)) {
-      batch = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--trace", v)) {
-      trace_path = v;
-    } else if (flag_value(argc, argv, i, "--plan-cache", v)) {
-      plan_cache = v;
-    } else if (flag_value(argc, argv, i, "--threads", v)) {
-      threads = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--replicas", v)) {
-      replicas = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--nodes", v)) {
-      nodes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--algo", v)) {
-      if (!parallel::allreduce_algo_from_name(v.c_str(), &algo)) {
-        std::fprintf(stderr,
-                     "unknown --algo '%s' (rhd-adjacent, rhd-round-robin, "
-                     "hierarchical, ring, param-server)\n",
-                     v.c_str());
-        return 2;
-      }
-    } else if (flag_value(argc, argv, i, "--compress", v)) {
-      if (!topo::compression_from_name(v.c_str(), &compress)) {
-        std::fprintf(stderr, "unknown --compress '%s' (none, fp16, int8)\n",
-                     v.c_str());
-        return 2;
-      }
-    } else if (flag_value(argc, argv, i, "--json", v)) {
-      // Value re-parsed by JsonBench; consumed here so it isn't positional.
-    } else if (std::strcmp(argv[i], "--tune") == 0) {
-      tune = true;
-    } else if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep = true;
-    } else if (std::strcmp(argv[i], "--trace-report") == 0) {
-      trace_report = true;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    } else {
-      // Legacy positional form: model [iterations] [batch].
-      switch (positional++) {
-        case 0: model = argv[i]; break;
-        case 1: iterations = std::atoi(argv[i]); break;
-        case 2: batch = std::atoi(argv[i]); break;
-        default:
-          std::fprintf(stderr, "too many positional arguments\n");
-          return 2;
-      }
-    }
+  cli::Parser parser(
+      "usage: swcaffe_time [flags] [model [iterations [batch]]]\n"
+      "\n"
+      "Per-layer forward/backward timing, host wall clock and simulated\n"
+      "SW26010, of a zoo model (alexnet, alexnet-orig, vgg16, vgg19,\n"
+      "resnet50, googlenet) at reduced resolution, or of a prototxt.\n",
+      {cli::flag("--model", &model, "M", "zoo name or net prototxt"),
+       cli::flag("--iterations", &iterations, 1, 1000000, "timed passes"),
+       cli::flag("--batch", &batch, 1, 64, "functional batch size"),
+       cli::toggle("--tune", &tune, "run the swtune plan search"),
+       cli::flag("--plan-cache", &plan_cache, "FILE", "tuned plans (--tune)"),
+       cli::flag("--json", &json_path, "PATH", "write headline numbers"),
+       cli::flag("--threads", &threads, 1, cli::kMaxThreads, "replica threads"),
+       cli::flag("--replicas", &replicas, 1, 16, "replicas for --threads"),
+       cli::flag("--nodes", &nodes, 0, cli::kMaxNodes, "all-reduce nodes"),
+       cli::choice("--algo", &algo, parallel::allreduce_algo_from_name,
+                   "rhd-round-robin|rhd-adjacent|hierarchical|ring|"
+                   "param-server", "gradient all-reduce (default first)"),
+       cli::choice("--compress", &compress, topo::compression_from_name,
+                   "none|fp16|int8", "gradient codec (default none)"),
+       cli::toggle("--sweep", &sweep, "scalability sweep to 40,960 nodes"),
+       cli::flag("--trace", &trace_path, "FILE", "write a Chrome trace"),
+       cli::toggle("--trace-report", &trace_report, "per-layer trace table")},
+      3);
+  const std::vector<std::string> positional = parser.parse(argc, argv);
+  const char* const kPositional[] = {"--model", "--iterations", "--batch"};
+  for (std::size_t i = 0; i < positional.size(); ++i) {
+    parser.set(kPositional[i], positional[i]);
   }
   if (!plan_cache.empty() && !tune) {
-    std::fprintf(stderr, "--plan-cache requires --tune\n");
-    return 2;
+    throw cli::UsageError("--plan-cache requires --tune");
   }
 
-  bench::JsonBench bench("swcaffe_time", argc, argv);
+  bench::JsonBench bench("swcaffe_time", json_path);
 
-  core::NetSpec spec = resolve_model(model, batch);
+  std::optional<core::NetSpec> zoo =
+      core::zoo_model(model, batch, 10, core::kSmallImage);
+  const core::NetSpec spec =
+      zoo ? *zoo : cli::read_input(model, core::load_net_prototxt);
   core::Net net(spec, 1);
   base::Rng rng(2);
   if (net.has_blob("data")) {
@@ -375,9 +314,8 @@ int main(int argc, char** argv) {
     check::Report report;
     check::check_comm(cplan, check::Options{}, cplan.name, &report);
     if (!report.ok()) {
-      std::fprintf(stderr, "illegal --algo/--compress combination: %s\n",
-                   report.summary().c_str());
-      return 2;
+      throw cli::UsageError("illegal --algo/--compress combination: " +
+                            report.summary());
     }
 
     const topo::Placement placement = parallel::placement_for(algo);
@@ -429,8 +367,7 @@ int main(int argc, char** argv) {
       results = parallel::scalability_sweep(sweep_cost, {series},
                                             std::max(threads, 1));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "sweep rejected: %s\n", e.what());
-      return 2;
+      throw cli::UsageError(std::string("sweep rejected: ") + e.what());
     }
     const double sweep_wall = now_s() - s0;
     std::printf("\ntiming-only scalability sweep (%s, %s, %d buckets):\n",
@@ -466,3 +403,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(argc, argv, time_main); }

@@ -3,20 +3,12 @@
 // with the full Algorithm 1 stack (prefetch thread, 4 core-group threads,
 // gradient averaging), and reports losses plus the simulated SW26010 time.
 //
-// Usage:
-//   swcaffe_train [net.prototxt solver.prototxt] [iterations]
-//                 [--tune] [--plan-cache FILE] [--json OUT]
-//                 [--trace=out.json] [--trace-report]
-//                 [--faults=SPEC] [--seed N] [--nodes N]
-//                 [--buckets N] [--threads N]
-//                 [--algo=ALGO] [--compress=none|fp16|int8]
-//                 [--checkpoint-every N] [--checkpoint-prefix PATH]
-//                 [--timing-only]
-// With no (positional) arguments a built-in demo net is used. --tune runs
-// the swtune plan search before training (every core-group replica executes
-// the tuned strategies, and the simulated time is priced at the tuned
-// plans); --plan-cache makes the tuned plans persistent so a second run
-// skips the search. --json writes the headline numbers (final loss, tuned
+// Usage: swcaffe_train [flags] [net.prototxt solver.prototxt] [iterations]
+// (run with --help for the flags). With no prototxt arguments a built-in
+// demo net is used. --tune runs the swtune plan search before training
+// (every core-group replica executes the tuned strategies, and the
+// simulated time is priced at the tuned plans); --plan-cache makes the
+// tuned plans persistent so a second run skips the search. --json writes the headline numbers (final loss, tuned
 // and default compute per iteration) as a bench_json object. --trace writes
 // a Chrome-trace JSON of the simulated run (track "node" plus one track per
 // core group; open in ui.perfetto.dev); --trace-report prints the per-layer
@@ -45,13 +37,12 @@
 // what the functional trainer would charge (pinned by tests), so this is
 // the cheap way to ask "what would this config cost at 40,960 nodes?".
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "../bench/bench_json.h"
+#include "base/cli.h"
 #include "base/units.h"
 #include "core/models.h"
 #include "core/proto.h"
@@ -64,6 +55,7 @@
 #include "trace/tracer.h"
 
 using namespace swcaffe;
+namespace cli = swcaffe::base::cli;
 
 namespace {
 
@@ -110,23 +102,12 @@ float det_uniform(std::uint64_t iter, std::uint64_t idx, std::uint64_t salt) {
 }
 
 /// The --faults path: fault-tolerant SSGD over `nodes` replicas under the
-/// seeded schedule of `spec`.
+/// seeded schedule of `opt.faults`.
 int run_fault_tolerant(const core::NetSpec& net_spec,
                        const core::SolverSpec& solver_spec, int iterations,
-                       int nodes, int buckets, int threads,
-                       parallel::AllreduceAlgo algo,
-                       topo::Compression compress, const fault::FaultSpec& spec,
-                       int checkpoint_every, const std::string& ckpt_prefix,
+                       int nodes, const fault::FtOptions& opt,
                        const std::string& trace_path,
                        bench::JsonBench& bench) {
-  fault::FtOptions opt;
-  opt.faults = spec;
-  opt.ssgd.algo = algo;
-  opt.ssgd.compression = compress;
-  opt.ssgd.buckets = buckets;
-  opt.ssgd.threads = threads;
-  opt.checkpoint_every = checkpoint_every;
-  opt.checkpoint_prefix = ckpt_prefix;
   fault::FtSsgdTrainer trainer(net_spec, nodes, solver_spec, opt);
 
   trace::Tracer tracer;
@@ -155,7 +136,7 @@ int run_fault_tolerant(const core::NetSpec& net_spec,
   std::printf("fault-tolerant training '%s' on %d nodes for %d iterations "
               "(faults: %s)\n",
               net_spec.name.c_str(), nodes, iterations,
-              fault::to_string(spec).c_str());
+              fault::to_string(opt.faults).c_str());
   const fault::RunResult run =
       fault::run_with_restarts(trainer, batch, iterations);
   const fault::FaultStats& stats = trainer.stats();
@@ -195,123 +176,77 @@ int run_fault_tolerant(const core::NetSpec& net_spec,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int train_main(int argc, char** argv) {
   std::string trace_path;
   bool trace_report = false;
   bool tune = false;
   std::string plan_cache;
-  std::string faults;
-  bool have_faults = false;
+  std::string json_path;
   std::uint64_t seed = 0;
-  bool have_seed = false;
   int nodes = 4;
-  int buckets = 1;
-  int threads = 1;
-  parallel::AllreduceAlgo algo = parallel::AllreduceAlgo::kRhdRoundRobin;
-  topo::Compression compress = topo::Compression::kNone;
-  int checkpoint_every = 0;
-  std::string checkpoint_prefix = "swcaffe_train.ckpt";
   bool timing_only = false;
-  std::vector<char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-report") == 0) {
-      trace_report = true;
-    } else if (std::strcmp(argv[i], "--tune") == 0) {
-      tune = true;
-    } else if (std::strcmp(argv[i], "--timing-only") == 0) {
-      timing_only = true;
-    } else if (std::strncmp(argv[i], "--plan-cache=", 13) == 0) {
-      plan_cache = argv[i] + 13;
-    } else if (std::strcmp(argv[i], "--plan-cache") == 0 && i + 1 < argc) {
-      plan_cache = argv[++i];
-    } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
-      faults = argv[i] + 9;
-      have_faults = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
-      faults = argv[++i];
-      have_faults = true;
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-      have_seed = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-      have_seed = true;
-    } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      nodes = std::atoi(argv[i] + 8);
-    } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      nodes = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--buckets=", 10) == 0) {
-      buckets = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--buckets") == 0 && i + 1 < argc) {
-      buckets = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--algo=", 7) == 0) {
-      if (!parallel::allreduce_algo_from_name(argv[i] + 7, &algo)) {
-        std::fprintf(stderr,
-                     "unknown --algo '%s' (rhd-adjacent, rhd-round-robin, "
-                     "hierarchical, ring, param-server)\n",
-                     argv[i] + 7);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--compress=", 11) == 0) {
-      if (!topo::compression_from_name(argv[i] + 11, &compress)) {
-        std::fprintf(stderr, "unknown --compress '%s' (none, fp16, int8)\n",
-                     argv[i] + 11);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--checkpoint-every=", 19) == 0) {
-      checkpoint_every = std::atoi(argv[i] + 19);
-    } else if (std::strcmp(argv[i], "--checkpoint-every") == 0 &&
-               i + 1 < argc) {
-      checkpoint_every = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--checkpoint-prefix=", 20) == 0) {
-      checkpoint_prefix = argv[i] + 20;
-    } else if (std::strcmp(argv[i], "--checkpoint-prefix") == 0 &&
-               i + 1 < argc) {
-      checkpoint_prefix = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0 ||
-               std::strcmp(argv[i], "--json") == 0) {
-      // Value re-parsed by JsonBench; consume it so it isn't positional.
-      if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) ++i;
-    } else {
-      positional.push_back(argv[i]);
-    }
+  fault::FtOptions ft;  // the --faults path's options, SSGD ones included
+  ft.checkpoint_prefix = "swcaffe_train.ckpt";
+  cli::Parser parser(
+      "usage: swcaffe_train [flags] [net.prototxt solver.prototxt] "
+      "[iterations]\n"
+      "\n"
+      "Caffe-style trainer on the synthetic ImageNet stand-in (built-in\n"
+      "demo net without prototxt arguments; 60 iterations by default).\n",
+      {cli::toggle("--tune", &tune, "run the swtune plan search first"),
+       cli::flag("--plan-cache", &plan_cache, "FILE", "persist tuned plans"),
+       cli::flag("--json", &json_path, "PATH", "write headline numbers"),
+       cli::flag("--trace", &trace_path, "FILE", "write a Chrome trace"),
+       cli::toggle("--trace-report", &trace_report, "per-layer trace table"),
+       cli::choice("--faults", &ft.faults, fault::parse_fault_spec, "SPEC",
+                   "fault-tolerant SSGD (src/fault/fault_spec.h)"),
+       cli::flag("--seed", &seed, "override the fault schedule seed"),
+       cli::flag("--nodes", &nodes, 1, cli::kMaxNodes,
+                 "SSGD nodes, at most 64 unless --timing-only"),
+       cli::flag("--buckets", &ft.ssgd.buckets, 1, 1024, "all-reduce buckets"),
+       cli::flag("--threads", &ft.ssgd.threads, 1, cli::kMaxThreads,
+                 "replica threads"),
+       cli::choice("--algo", &ft.ssgd.algo, parallel::allreduce_algo_from_name,
+                   "rhd-round-robin|rhd-adjacent|hierarchical|ring|"
+                   "param-server", "gradient all-reduce (default first)"),
+       cli::choice("--compress", &ft.ssgd.compression,
+                   topo::compression_from_name, "none|fp16|int8",
+                   "gradient codec (default none)"),
+       cli::flag("--checkpoint-every", &ft.checkpoint_every, 0, 1000000,
+                 "checkpoint period in iterations (0: off)"),
+       cli::flag("--checkpoint-prefix", &ft.checkpoint_prefix, "PATH",
+                 "checkpoint file prefix"),
+       cli::toggle("--timing-only", &timing_only, "price one SSGD iteration")},
+      3);
+  const std::vector<std::string> positional = parser.parse(argc, argv);
+  const bool have_faults = parser.seen("--faults");
+  if (!timing_only && nodes > cli::kMaxReplicas) {
+    throw cli::UsageError("--nodes above 64 replicas needs --timing-only");
   }
-  bench::JsonBench bench("swcaffe_train", argc, argv);
+  bench::JsonBench bench("swcaffe_train", json_path);
 
   core::NetSpec net_spec;
   core::SolverSpec solver_spec;
   int iterations = 60;
   if (positional.size() >= 2) {
-    net_spec = core::load_net_prototxt(positional[0]);
-    solver_spec = core::load_solver_prototxt(positional[1]);
-    if (positional.size() >= 3) iterations = std::atoi(positional[2]);
+    net_spec = cli::read_input(positional[0], core::load_net_prototxt);
+    solver_spec = cli::read_input(positional[1], core::load_solver_prototxt);
   } else {
     std::printf("(no prototxt arguments: using the built-in demo net)\n");
     net_spec = core::parse_net_prototxt(kDemoNet);
     solver_spec = core::parse_solver_prototxt(kDemoSolver);
-    if (positional.size() == 1) iterations = std::atoi(positional[0]);
+  }
+  if (positional.size() % 2 == 1) {
+    iterations =
+        cli::parse_number<int>(positional.back(), 1, 1000000, "iterations");
   }
 
   if (timing_only) {
     if (have_faults) {
-      std::fprintf(stderr, "--timing-only prices a healthy iteration; it "
-                           "cannot be combined with --faults\n");
-      return 2;
+      throw cli::UsageError("--timing-only prices a healthy iteration; it "
+                            "cannot be combined with --faults");
     }
-    parallel::SsgdOptions so;
-    so.algo = algo;
-    so.compression = compress;
-    so.buckets = buckets;
+    parallel::SsgdOptions so = ft.ssgd;
     so.timing_only = true;
     parallel::SsgdTrainer trainer(net_spec, nodes, solver_spec, so, 1);
     const hw::CostModel cost;
@@ -320,8 +255,8 @@ int main(int argc, char** argv) {
     std::printf("timing-only pricing of '%s' across %d nodes "
                 "(%s, %s, %d buckets):\n",
                 net_spec.name.c_str(), nodes,
-                parallel::allreduce_algo_name(algo),
-                topo::compression_name(compress), trainer.num_buckets());
+                parallel::allreduce_algo_name(so.algo),
+                topo::compression_name(so.compression), trainer.num_buckets());
     std::printf("  compute (fwd+bwd):     %s\n",
                 base::format_seconds(it.comp_s).c_str());
     std::printf("  all-reduce (serial):   %s (%d startups)\n",
@@ -342,12 +277,9 @@ int main(int argc, char** argv) {
   }
 
   if (have_faults) {
-    fault::FaultSpec spec = fault::parse_fault_spec(faults);
-    if (have_seed) spec.seed = seed;
-    return run_fault_tolerant(net_spec, solver_spec, iterations, nodes,
-                              buckets, threads, algo, compress, spec,
-                              checkpoint_every, checkpoint_prefix, trace_path,
-                              bench);
+    if (parser.seen("--seed")) ft.faults.seed = seed;
+    return run_fault_tolerant(net_spec, solver_spec, iterations, nodes, ft,
+                              trace_path, bench);
   }
 
   // The dataset must match the net's data blob.
@@ -420,3 +352,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(argc, argv, train_main); }

@@ -4,29 +4,21 @@
 // tuned-vs-default simulated time. The search itself lives in src/tune/;
 // this binary is presentation plus the CI regression gate.
 //
-// Usage:
-//   swcaffe_tune [--model M] [--batch B] [--classes C] [--image R]
-//                [--nodes N] [--plan-cache FILE] [--candidates]
-//                [--json OUT] [--trace OUT] [--quiet]
-//   swcaffe_tune --paper          # all paper-scale AlexNet/VGG configs
-//   swcaffe_tune <net.prototxt>   # tune a prototxt model
-//
-// Models: alexnet | alexnet-orig | vgg16 | vgg19 | resnet50 | googlenet or a
-// prototxt path. --candidates prints every plan the search priced (and how
-// many the check:: rules rejected unpriced). --json writes per-layer and
-// per-net default/tuned seconds as a bench_json object (BENCH_tune.json in
-// CI). --trace records the tuner's own activity — one "tune.search" span per
-// cold search, one "tune.cache_hit" instant per warm lookup — as a Chrome
-// trace. Exit status: 0 when every tuned plan is at least as fast as the
-// hand-written default under the model, 1 when any plan regressed, 2 on
-// usage errors.
+// Run with --help for the flags. --candidates prints every plan the search
+// priced (and how many the check:: rules rejected unpriced). --json writes
+// per-layer and per-net default/tuned seconds as a bench_json object
+// (BENCH_tune.json in CI). --trace records the tuner's own activity — one
+// "tune.search" span per cold search, one "tune.cache_hit" instant per warm
+// lookup — as a Chrome trace. The verdict (exit 1): a tuned plan is slower
+// than the hand-written default under the model.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "../bench/bench_json.h"
+#include "base/cli.h"
 #include "base/table.h"
 #include "core/models.h"
 #include "core/proto.h"
@@ -36,63 +28,9 @@
 #include "tune/tuner.h"
 
 using namespace swcaffe;
+namespace cli = swcaffe::base::cli;
 
 namespace {
-
-struct NamedConfig {
-  std::string label;
-  std::vector<core::LayerDesc> descs;
-};
-
-core::NetSpec resolve_model(const std::string& arg, int batch, int classes,
-                            int image) {
-  if (arg == "alexnet") return core::alexnet_bn(batch, classes, image);
-  if (arg == "alexnet-orig") {
-    return core::alexnet_original(batch, classes, image);
-  }
-  if (arg == "vgg16") return core::vgg(16, batch, classes, image);
-  if (arg == "vgg19") return core::vgg(19, batch, classes, image);
-  if (arg == "resnet50") return core::resnet50(batch, classes, image);
-  if (arg == "googlenet") return core::googlenet(batch, classes, image);
-  return core::load_net_prototxt(arg);
-}
-
-/// The paper's evaluated configurations (Sec. VI / Tables II-III), same set
-/// as swcaffe_check --paper: the CI gate runs the tuner over all of them.
-std::vector<NamedConfig> paper_configs() {
-  std::vector<NamedConfig> configs;
-  configs.push_back({"alexnet-bn batch 256 @227",
-                     core::describe_net_spec(core::alexnet_bn(256, 1000, 227))});
-  configs.push_back({"alexnet-bn batch 128 @227",
-                     core::describe_net_spec(core::alexnet_bn(128, 1000, 227))});
-  configs.push_back({"vgg16 batch 128 @224",
-                     core::describe_net_spec(core::vgg(16, 128, 1000, 224))});
-  configs.push_back({"vgg16 batch 32 @224",
-                     core::describe_net_spec(core::vgg(16, 32, 1000, 224))});
-  configs.push_back({"vgg19 batch 128 @224",
-                     core::describe_net_spec(core::vgg(19, 128, 1000, 224))});
-  return configs;
-}
-
-/// Matches "--name value" and "--name=value"; advances `i` past the value.
-bool flag_value(int argc, char** argv, int& i, const char* name,
-                std::string& out) {
-  const std::string arg = argv[i];
-  const std::string prefix = std::string(name) + "=";
-  if (arg == name) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", name);
-      std::exit(2);
-    }
-    out = argv[++i];
-    return true;
-  }
-  if (arg.rfind(prefix, 0) == 0) {
-    out = arg.substr(prefix.size());
-    return true;
-  }
-  return false;
-}
 
 /// "impl cb=32 ob=32" or "exp 256x512x256 db c1" — one table cell.
 std::string plan_cell(const tune::DirectionChoice& d) {
@@ -135,9 +73,7 @@ const char* direction_name(dnn::ConvDirection dir) {
   return "?";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int tune_main(int argc, char** argv) {
   std::string model = "alexnet";
   int batch = 256;
   int classes = 1000;
@@ -148,50 +84,39 @@ int main(int argc, char** argv) {
   bool show_candidates = false;
   std::string plan_cache;
   std::string trace_path;
+  std::string json_path;
+  cli::Parser parser(
+      "usage: swcaffe_tune [flags] [model]\n"
+      "       swcaffe_tune --paper     # all paper-scale AlexNet/VGG configs\n"
+      "\n"
+      "swtune plan search per convolution of a zoo model (alexnet,\n"
+      "alexnet-orig, vgg16, vgg19, resnet50, googlenet) or a prototxt.\n"
+      "The verdict (exit 1): a tuned plan is slower than the default.\n",
+      {cli::flag("--model", &model, "M", "zoo name or net prototxt"),
+       cli::flag("--batch", &batch, 1, 1024, "batch size"),
+       cli::flag("--classes", &classes, 1, 100000, "classifier width"),
+       cli::flag("--image", &image, 1, 1024, "input side in pixels"),
+       cli::flag("--nodes", &nodes, 1, cli::kMaxNodes, "cluster size"),
+       cli::flag("--plan-cache", &plan_cache, "FILE", "persist tuned plans"),
+       cli::toggle("--candidates", &show_candidates, "print every plan"),
+       cli::flag("--json", &json_path, "PATH", "write per-layer seconds"),
+       cli::flag("--trace", &trace_path, "FILE", "trace the tuner"),
+       cli::toggle("--quiet", &quiet, "print summaries only"),
+       cli::toggle("--paper", &paper, "tune every paper configuration")},
+      1);
+  const std::vector<std::string> positional = parser.parse(argc, argv);
+  if (!positional.empty()) model = positional[0];
 
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (flag_value(argc, argv, i, "--model", v)) {
-      model = v;
-    } else if (flag_value(argc, argv, i, "--batch", v)) {
-      batch = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--classes", v)) {
-      classes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--image", v)) {
-      image = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--nodes", v)) {
-      nodes = std::atoi(v.c_str());
-    } else if (flag_value(argc, argv, i, "--plan-cache", v)) {
-      plan_cache = v;
-    } else if (flag_value(argc, argv, i, "--trace", v)) {
-      trace_path = v;
-    } else if (flag_value(argc, argv, i, "--json", v)) {
-      // Value re-parsed by JsonBench; consumed here so it isn't positional.
-    } else if (std::strcmp(argv[i], "--paper") == 0) {
-      paper = true;
-    } else if (std::strcmp(argv[i], "--candidates") == 0) {
-      show_candidates = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    } else if (positional++ == 0) {
-      model = argv[i];
-    } else {
-      std::fprintf(stderr, "too many positional arguments\n");
-      return 2;
-    }
-  }
+  bench::JsonBench bench("swcaffe_tune", json_path);
 
-  bench::JsonBench bench("swcaffe_tune", argc, argv);
-
-  std::vector<NamedConfig> configs;
+  std::vector<core::NamedNet> configs;
   if (paper) {
-    configs = paper_configs();
+    configs = core::paper_configs();
   } else {
-    core::NetSpec spec = resolve_model(model, batch, classes, image);
+    const std::optional<core::NetSpec> zoo =
+        core::zoo_model(model, batch, classes, image);
+    const core::NetSpec spec =
+        zoo ? *zoo : cli::read_input(model, core::load_net_prototxt);
     configs.push_back({spec.name + " batch " + std::to_string(batch) + " @" +
                            std::to_string(image),
                        core::describe_net_spec(spec)});
@@ -202,7 +127,7 @@ int main(int argc, char** argv) {
   tracer.set_track_name(0, "mpe-tuner");
 
   int regressions = 0;
-  for (const NamedConfig& config : configs) {
+  for (const core::NamedNet& config : configs) {
     tune::TuneOptions topts;
     topts.nodes = nodes;
     topts.cache_path = plan_cache;
@@ -276,7 +201,11 @@ int main(int argc, char** argv) {
   if (regressions > 0) {
     std::fprintf(stderr, "%d tuned plan(s) regressed vs the default\n",
                  regressions);
-    return 1;
+    return cli::kExitVerdict;
   }
-  return 0;
+  return cli::kExitOk;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli::run(argc, argv, tune_main); }

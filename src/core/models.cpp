@@ -20,7 +20,53 @@ void add_conv_bn_relu(NetSpec& net, const std::string& name,
   }
 }
 
+struct ZooEntry {
+  const char* name;
+  int paper_image;
+  int small_image;
+  NetSpec (*make)(int batch, int classes, int image, bool with_loss);
+};
+
+constexpr ZooEntry kZoo[] = {
+    {"alexnet", 227, 67, alexnet_bn},
+    {"alexnet-orig", 227, 67, alexnet_original},
+    {"vgg16", 224, 32,
+     [](int b, int c, int i, bool l) { return vgg(16, b, c, i, l); }},
+    {"vgg19", 224, 32,
+     [](int b, int c, int i, bool l) { return vgg(19, b, c, i, l); }},
+    {"resnet50", 224, 64, resnet50},
+    {"googlenet", 224, 64, googlenet},
+};
+
 }  // namespace
+
+std::optional<NetSpec> zoo_model(const std::string& name, int batch,
+                                 int classes, int image, bool with_loss) {
+  for (const ZooEntry& z : kZoo) {
+    if (name != z.name) continue;
+    if (image == kPaperImage) image = z.paper_image;
+    if (image == kSmallImage) image = z.small_image;
+    return z.make(batch, classes, image, with_loss);
+  }
+  return std::nullopt;
+}
+
+std::function<NetSpec(int batch)> zoo_inference(const std::string& name) {
+  if (!zoo_model(name, 1)) return {};
+  return [name](int b) {
+    return *zoo_model(name, b, 1000, kPaperImage, /*with_loss=*/false);
+  };
+}
+
+std::vector<NamedNet> paper_configs() {
+  return {
+      {"alexnet-bn batch 256 @227", describe_net_spec(alexnet_bn(256))},
+      {"alexnet-bn batch 128 @227", describe_net_spec(alexnet_bn(128))},
+      {"vgg16 batch 128 @224", describe_net_spec(vgg(16, 128))},
+      {"vgg16 batch 32 @224", describe_net_spec(vgg(16, 32))},
+      {"vgg19 batch 128 @224", describe_net_spec(vgg(19, 128))},
+  };
+}
 
 NetSpec alexnet_bn(int batch, int classes, int image, bool with_loss) {
   NetSpec net;

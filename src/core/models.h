@@ -6,6 +6,8 @@
 // resolution through core::Net.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,36 @@ NetSpec resnet50(int batch, int classes = 1000, int image = 224,
 /// GoogleNet (Inception v1) without the auxiliary classifiers.
 NetSpec googlenet(int batch, int classes = 1000, int image = 224,
                   bool with_loss = true);
+
+/// Image sides zoo_model() understands besides an explicit one: the paper's
+/// ImageNet input (227 for the AlexNets, 224 for the rest), or the smallest
+/// side the net's pooling pyramid accepts (67 AlexNet, 32 VGG, 64 ResNet-50
+/// and GoogleNet), the reduced resolution functional runs allocate at.
+inline constexpr int kPaperImage = 0;
+inline constexpr int kSmallImage = -1;
+
+/// The zoo net called `name` (alexnet is the BN variant, alexnet-orig,
+/// vgg16, vgg19, resnet50, googlenet), or nullopt when `name` is not a zoo
+/// name. `image` is a side in pixels, kPaperImage or kSmallImage.
+std::optional<NetSpec> zoo_model(const std::string& name, int batch,
+                                 int classes = 1000, int image = kPaperImage,
+                                 bool with_loss = true);
+
+/// The inference geometry of zoo net `name` as a function of the batch:
+/// paper resolution, 1000 classes, no loss layer (what serving prices).
+/// Empty when `name` is not a zoo name.
+std::function<NetSpec(int batch)> zoo_inference(const std::string& name);
+
+/// A labelled network description.
+struct NamedNet {
+  std::string label;
+  std::vector<LayerDesc> descs;
+};
+
+/// The paper's evaluated training configurations (Sec. VI / Tables II-III):
+/// swcaffe_check --paper must find zero errors on all of them, and
+/// swcaffe_tune --paper gates its tuned plans on them.
+std::vector<NamedNet> paper_configs();
 
 /// Pure shape inference: produces the same LayerDescs Net::describe() would,
 /// without allocating any tensor data. Throws on shape errors.

@@ -223,7 +223,7 @@ SsgdTrainer::SsgdTrainer(const core::NetSpec& spec, int num_nodes,
   }
 
   if (options_.threads > 1 && !options_.timing_only) {
-    pool_ = std::make_unique<ThreadPool>(
+    pool_ = std::make_unique<sim::ThreadPool>(
         std::min(options_.threads, num_nodes));
   }
 }

@@ -22,7 +22,7 @@
 #include "core/net.h"
 #include "core/solver.h"
 #include "hw/cost_model.h"
-#include "parallel/thread_pool.h"
+#include "sim/thread_pool.h"
 #include "swdnn/conv_plan.h"
 #include "topo/allreduce.h"
 #include "topo/compress.h"
@@ -199,7 +199,7 @@ class SsgdTrainer {
   std::vector<std::size_t> bucket_offset_;  ///< float offset of each bucket
   std::vector<topo::CostBreakdown> last_comm_buckets_;
   topo::CostBreakdown last_comm_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null when options_.threads <= 1
+  std::unique_ptr<sim::ThreadPool> pool_;  ///< null when options_.threads <= 1
   /// Per-node error-feedback residuals (param_count floats each); empty
   /// when compression is kNone. Residuals persist across iterations — the
   /// carry is what bounds the accumulated quantization drift.

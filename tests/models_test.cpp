@@ -23,6 +23,40 @@ const LayerDesc* find_layer(const std::vector<LayerDesc>& descs,
   return nullptr;
 }
 
+TEST(ModelsTest, ZooLookupResolvesEveryNameAndItsImageSides) {
+  EXPECT_FALSE(zoo_model("nosuch", 1).has_value());
+  EXPECT_FALSE(zoo_model("models/alexnet.prototxt", 1).has_value());
+  const std::pair<const char*, std::string> kNames[] = {
+      {"alexnet", "alexnet-bn"}, {"alexnet-orig", "alexnet-original"},
+      {"vgg16", "vgg-16"},       {"vgg19", "vgg-19"},
+      {"resnet50", "resnet-50"}, {"googlenet", "googlenet"}};
+  for (const auto& [name, spec_name] : kNames) {
+    SCOPED_TRACE(name);
+    const std::optional<NetSpec> paper = zoo_model(name, 2);
+    ASSERT_TRUE(paper.has_value());
+    EXPECT_EQ(paper->name, spec_name);
+    const int side = paper->inputs.at(0).second.at(2);
+    EXPECT_EQ(side, std::string(name).rfind("alexnet", 0) == 0 ? 227 : 224);
+    // The small side is the smallest the pooling pyramid accepts: it
+    // builds, and so does a functional forward pass through it.
+    const NetSpec small = *zoo_model(name, 1, 10, kSmallImage);
+    EXPECT_LT(small.inputs.at(0).second.at(2), side);
+    EXPECT_NO_THROW(describe_net_spec(small));
+    const NetSpec explicit_side = *zoo_model(name, 4, 10, 96, false);
+    EXPECT_EQ(explicit_side.inputs.at(0).second,
+              (std::vector<int>{4, 3, 96, 96}));
+  }
+}
+
+TEST(ModelsTest, PaperConfigsAreTheFiveEvaluatedTrainingSetups) {
+  const std::vector<NamedNet> configs = paper_configs();
+  ASSERT_EQ(configs.size(), 5u);
+  EXPECT_EQ(configs[0].label, "alexnet-bn batch 256 @227");
+  EXPECT_EQ(configs[4].label, "vgg19 batch 128 @224");
+  EXPECT_EQ(total_params(configs[2].descs),
+            total_params(describe_net_spec(vgg(16, 128))));
+}
+
 TEST(ModelsTest, AlexNetParameterBytesMatchPaper) {
   // Sec. VI-C: "model parameter size of ... AlexNet (232.6 MB)".
   const auto descs = describe_net_spec(alexnet_bn(256));

@@ -630,7 +630,7 @@ TEST(TrainingPinTest, GroupedAlexNetOriginal) {
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
+  sim::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
   pool.parallel_for(0, 100, [&](int i) { hits[i].fetch_add(1); });
   for (int i = 0; i < 100; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
